@@ -19,8 +19,11 @@
 
 use crate::error::{DeployError, Result};
 use crate::problem::ProblemInstance;
-use crate::schedule::{list_schedule, priority_order};
-use crate::solution::{Deployment, PathChoice};
+use crate::schedule::{Schedule, SchedulePlan};
+use crate::solution::{
+    add_comm_energy, comp_energy_mj, cross_transfers, receive_time_ms, Deployment, EnergyReport,
+    PathChoice,
+};
 use ndp_milp::{ObserverHandle, SolverEvent};
 use ndp_noc::PathKind;
 use ndp_platform::{LevelId, ProcessorId, ReliabilityModel};
@@ -117,40 +120,33 @@ pub fn phase1(problem: &ProblemInstance) -> Result<Phase1> {
     Ok(Phase1 { active, frequency })
 }
 
-/// The paper's averaged receive-time estimate for task `i`:
-/// `t̄_i^comm = M₁ · (max t_{βγρ} + min t_{βγρ}) / 2`.
-fn estimated_comm_time(problem: &ProblemInstance, active: &[bool], i: TaskId) -> f64 {
-    if problem.num_processors() <= 1 {
-        return 0.0;
-    }
-    let graph = problem.tasks.graph();
-    let m1 = graph.predecessors(i).filter(|(p, _)| active[p.index()]).count() as f64;
-    let avg = (problem.comm.max_time_ms() + problem.comm.min_time_ms()) / 2.0;
-    m1 * avg
-}
-
-/// The paper's averaged per-processor communication energy estimate:
+/// The paper's averaged per-processor communication energy estimates:
 /// `Ē_k^comm = M₂ · (max_{βγ} e_{βγk1} + min_{βγ} e_{βγk2}) / 2`.
-fn estimated_comm_energy(problem: &ProblemInstance, active: &[bool], k: ProcessorId) -> f64 {
-    if problem.num_processors() <= 1 {
-        return 0.0;
+fn estimated_comm_energies(problem: &ProblemInstance, active: &[bool]) -> Vec<f64> {
+    let n = problem.num_processors();
+    if n <= 1 {
+        return vec![0.0; n];
     }
     let m2 = active.iter().filter(|&&a| a).count() as f64;
-    let node = problem.node_of(k);
-    let hi = problem.comm.max_energy_at_mj(node, PathKind::EnergyOriented);
-    let lo = problem.comm.min_energy_at_mj(node, PathKind::TimeOriented);
-    m2 * (hi + lo) / 2.0
+    (0..n)
+        .map(|k| {
+            let node = problem.node_of(ProcessorId(k));
+            let hi = problem.comm.max_energy_at_mj(node, PathKind::EnergyOriented);
+            let lo = problem.comm.min_energy_at_mj(node, PathKind::TimeOriented);
+            m2 * (hi + lo) / 2.0
+        })
+        .collect()
 }
 
 /// Algorithm 2: task allocation (scheduling follows by list scheduling).
 pub fn phase2(problem: &ProblemInstance, p1: &Phase1) -> Phase2 {
     let n = problem.num_processors();
     let n_tasks = problem.tasks.graph().num_tasks();
+    let plan = SchedulePlan::new(problem, &p1.active, &p1.frequency);
     let mut processor = vec![ProcessorId(0); n_tasks];
     let mut comp_energy = vec![0.0; n];
-    let comm_estimates: Vec<f64> =
-        (0..n).map(|k| estimated_comm_energy(problem, &p1.active, ProcessorId(k))).collect();
-    for &i in &priority_order(problem, &p1.active) {
+    let comm_estimates = estimated_comm_energies(problem, &p1.active);
+    for &i in plan.order() {
         let e_i = problem.exec_energy_mj(i, p1.frequency[i.index()]);
         let mut best: Option<(usize, f64)> = None;
         for k in 0..n {
@@ -165,26 +161,57 @@ pub fn phase2(problem: &ProblemInstance, p1: &Phase1) -> Phase2 {
         processor[i.index()] = ProcessorId(k);
         comp_energy[k] += e_i;
     }
-    let estimated = list_schedule(problem, &p1.active, &p1.frequency, &processor, |t| {
-        estimated_comm_time(problem, &p1.active, t)
-    });
+    // The paper's averaged receive-time estimate (Algorithm 2, line 18):
+    // `t̄_i^comm = M₁ · (max t_{βγρ} + min t_{βγρ}) / 2`, with `M₁` the
+    // task's active predecessors.
+    let avg_transfer_ms =
+        if n > 1 { (problem.comm.max_time_ms() + problem.comm.min_time_ms()) / 2.0 } else { 0.0 };
+    let estimated =
+        plan.run(&processor, |t| plan.active_predecessors(t).len() as f64 * avg_transfer_ms);
     Phase2 { processor, estimated }
 }
 
 /// Algorithm 3: multi-path selection. Returns the final path table.
+///
+/// Visits the ordered processor pairs once each and keeps, for each, the
+/// `ρ` whose full deployment is better: a feasible makespan beats an
+/// infeasible one, then lower balanced energy (feasible) or lower
+/// makespan (infeasible) wins, ties keeping the earlier `ρ`.
 pub fn phase3(problem: &ProblemInstance, p1: &Phase1, p2: &Phase2) -> PathChoice {
     let n = problem.num_processors();
+    let processor = &p2.processor;
     let mut paths = PathChoice::uniform(n, PathKind::EnergyOriented);
-    let eval = |paths: &PathChoice| -> (f64, f64) {
-        let d = assemble(problem, p1, p2, paths.clone());
-        let report = d.energy_report(problem);
-        let makespan =
-            problem.tasks.graph().task_ids().map(|t| d.end_ms(problem, t)).fold(0.0, f64::max);
+    // A candidate changes only receive times and communication energies;
+    // everything else is fixed by phases 1 and 2 and built once here.
+    let plan = SchedulePlan::new(problem, &p1.active, &p1.frequency);
+    let transfers: Vec<_> = cross_transfers(problem, &p1.active, processor).collect();
+    let mut carries_traffic = vec![false; n * n];
+    for &(beta, gamma, _) in &transfers {
+        carries_traffic[beta.index() * n + gamma.index()] = true;
+    }
+    let mut report = EnergyReport {
+        comp_mj: comp_energy_mj(problem, &p1.active, &p1.frequency, processor),
+        comm_mj: vec![0.0; n],
+    };
+    let n_tasks = problem.tasks.graph().num_tasks();
+    let mut schedule = Schedule { start_ms: vec![0.0; n_tasks], end_ms: vec![0.0; n_tasks] };
+    let mut proc_free = vec![0.0; n];
+    let mut eval = |paths: &PathChoice| -> (f64, f64) {
+        let receive_time = |t: TaskId| {
+            let preds = plan.active_predecessors(t).iter().copied();
+            receive_time_ms(problem, processor, paths, processor[t.index()], preds)
+        };
+        let makespan = plan.run_into(processor, receive_time, &mut schedule, &mut proc_free);
+        report.comm_mj.fill(0.0);
+        add_comm_energy(problem, paths, transfers.iter().copied(), &mut report.comm_mj);
         (report.max_mj(), makespan)
     };
     for beta in 0..n {
         for gamma in 0..n {
-            if beta == gamma {
+            // Without an active transfer from β to γ both ρ evaluate to
+            // the same bits, and the strict comparisons keep the first,
+            // `EnergyOriented` — the pair's initial value.
+            if beta == gamma || !carries_traffic[beta * n + gamma] {
                 continue;
             }
             let (b, g) = (ProcessorId(beta), ProcessorId(gamma));
@@ -219,50 +246,18 @@ pub fn phase3(problem: &ProblemInstance, p1: &Phase1, p2: &Phase2) -> PathChoice
 /// Builds the full deployment for given phase results: start times come
 /// from list scheduling with the *actual* per-path receive times.
 fn assemble(problem: &ProblemInstance, p1: &Phase1, p2: &Phase2, paths: PathChoice) -> Deployment {
-    let mut d = Deployment {
+    let plan = SchedulePlan::new(problem, &p1.active, &p1.frequency);
+    let schedule = plan.run(&p2.processor, |t| {
+        let preds = plan.active_predecessors(t).iter().copied();
+        receive_time_ms(problem, &p2.processor, &paths, p2.processor[t.index()], preds)
+    });
+    Deployment {
         active: p1.active.clone(),
         frequency: p1.frequency.clone(),
         processor: p2.processor.clone(),
-        start_ms: vec![0.0; problem.tasks.graph().num_tasks()],
+        start_ms: schedule.start_ms,
         paths,
-    };
-    let schedule = list_schedule(problem, &p1.active, &p1.frequency, &p2.processor, |t| {
-        d.comm_time_ms(problem, t)
-    });
-    d.start_ms = schedule.start_ms;
-    d
-}
-
-/// Runs all three phases and validates the horizon.
-///
-/// Deprecated spelling of
-/// [`DeploymentSession::heuristic`](crate::DeploymentSession::heuristic).
-///
-/// # Errors
-///
-/// [`DeployError::HeuristicInfeasible`] when phase 1 cannot satisfy
-/// deadline/reliability constraints, or the final schedule overruns `H`.
-#[deprecated(since = "0.2.0", note = "use `DeploymentSession::heuristic`")]
-pub fn solve_heuristic(problem: &ProblemInstance) -> Result<Deployment> {
-    heuristic_deployment(problem, &ObserverHandle::none())
-}
-
-/// [`solve_heuristic`] with progress observation.
-///
-/// Deprecated: construct a
-/// [`DeploymentSession`](crate::DeploymentSession) whose solver options
-/// carry the observer and call
-/// [`heuristic`](crate::DeploymentSession::heuristic) on it.
-///
-/// # Errors
-///
-/// Same as [`solve_heuristic`].
-#[deprecated(since = "0.2.0", note = "use `DeploymentSession::heuristic`")]
-pub fn solve_heuristic_observed(
-    problem: &ProblemInstance,
-    observer: &ObserverHandle,
-) -> Result<Deployment> {
-    heuristic_deployment(problem, observer)
+    }
 }
 
 /// The 3-phase heuristic: emits a [`SolverEvent::Phase`] marker (`"phase1"`
@@ -436,6 +431,230 @@ mod phase3_tests {
             5.0,
         )
         .unwrap()
+    }
+
+    /// The reference evaluation: every phase-3 candidate assembles a full
+    /// deployment, list-schedules it by scanning for the first ready task,
+    /// and re-accounts all of its energy edge by edge. The plan-based
+    /// production path must reproduce it bit for bit.
+    mod reference {
+        use super::*;
+        use ndp_noc::NodeId;
+
+        pub fn list_schedule(
+            problem: &ProblemInstance,
+            active: &[bool],
+            frequency: &[LevelId],
+            processor: &[ProcessorId],
+            comm_time: impl Fn(TaskId) -> f64,
+        ) -> Schedule {
+            let graph = problem.tasks.graph();
+            let n_tasks = graph.num_tasks();
+            let mut start = vec![0.0; n_tasks];
+            let mut end = vec![0.0; n_tasks];
+            let mut scheduled = vec![false; n_tasks];
+            let mut proc_free = vec![0.0; problem.num_processors()];
+            let mut remaining = crate::schedule::priority_order(problem, active);
+            while !remaining.is_empty() {
+                let pos = remaining
+                    .iter()
+                    .position(|&t| {
+                        graph
+                            .predecessors(t)
+                            .all(|(p, _)| !active[p.index()] || scheduled[p.index()])
+                    })
+                    .expect("a DAG always has a ready task");
+                let t = remaining.remove(pos);
+                let ready = graph
+                    .predecessors(t)
+                    .filter(|(p, _)| active[p.index()])
+                    .map(|(p, _)| end[p.index()])
+                    .fold(0.0, f64::max)
+                    + comm_time(t);
+                let k = processor[t.index()].index();
+                let s = ready.max(proc_free[k]);
+                let e = s + problem.exec_time_ms(t, frequency[t.index()]);
+                start[t.index()] = s;
+                end[t.index()] = e;
+                proc_free[k] = e;
+                scheduled[t.index()] = true;
+            }
+            Schedule { start_ms: start, end_ms: end }
+        }
+
+        /// Phase 2's estimated schedule, the averaged receive time
+        /// recomputed for every task.
+        pub fn phase2_estimate(
+            problem: &ProblemInstance,
+            p1: &Phase1,
+            processor: &[ProcessorId],
+        ) -> Schedule {
+            let graph = problem.tasks.graph();
+            list_schedule(problem, &p1.active, &p1.frequency, processor, |i| {
+                if problem.num_processors() <= 1 {
+                    return 0.0;
+                }
+                let m1 = graph.predecessors(i).filter(|(p, _)| p1.active[p.index()]).count() as f64;
+                let avg = (problem.comm.max_time_ms() + problem.comm.min_time_ms()) / 2.0;
+                m1 * avg
+            })
+        }
+
+        pub fn assemble(
+            problem: &ProblemInstance,
+            p1: &Phase1,
+            p2: &Phase2,
+            paths: PathChoice,
+        ) -> Deployment {
+            let mut d = Deployment {
+                active: p1.active.clone(),
+                frequency: p1.frequency.clone(),
+                processor: p2.processor.clone(),
+                start_ms: vec![0.0; problem.tasks.graph().num_tasks()],
+                paths,
+            };
+            let schedule = list_schedule(problem, &p1.active, &p1.frequency, &p2.processor, |t| {
+                d.comm_time_ms(problem, t)
+            });
+            d.start_ms = schedule.start_ms;
+            d
+        }
+
+        pub fn makespan(problem: &ProblemInstance, d: &Deployment) -> f64 {
+            problem.tasks.graph().task_ids().map(|t| d.end_ms(problem, t)).fold(0.0, f64::max)
+        }
+
+        /// `max_k E_k^all`, accounted edge by edge over the whole graph.
+        pub fn max_energy_mj(problem: &ProblemInstance, d: &Deployment) -> f64 {
+            let n = problem.num_processors();
+            let mut comp = vec![0.0; n];
+            let mut comm = vec![0.0; n];
+            for i in problem.tasks.graph().task_ids() {
+                if d.active[i.index()] {
+                    comp[d.processor[i.index()].index()] +=
+                        problem.exec_energy_mj(i, d.frequency[i.index()]);
+                }
+            }
+            for (p, s, data) in problem.tasks.graph().edges() {
+                if !(d.active[p.index()] && d.active[s.index()]) {
+                    continue;
+                }
+                let (beta, gamma) = (d.processor[p.index()], d.processor[s.index()]);
+                if beta == gamma {
+                    continue;
+                }
+                let rho = d.paths.kind(beta, gamma);
+                let (nb, ng) = (problem.node_of(beta), problem.node_of(gamma));
+                for (k, c) in comm.iter_mut().enumerate() {
+                    let e = problem.comm.energy_at_mj(nb, ng, NodeId(k), rho);
+                    if e != 0.0 {
+                        *c += data * e;
+                    }
+                }
+            }
+            comp.iter().zip(&comm).map(|(a, b)| a + b).fold(0.0, f64::max)
+        }
+
+        pub fn phase3(problem: &ProblemInstance, p1: &Phase1, p2: &Phase2) -> PathChoice {
+            let n = problem.num_processors();
+            let mut paths = PathChoice::uniform(n, PathKind::EnergyOriented);
+            let eval = |paths: &PathChoice| -> (f64, f64) {
+                let d = assemble(problem, p1, p2, paths.clone());
+                (max_energy_mj(problem, &d), makespan(problem, &d))
+            };
+            for beta in 0..n {
+                for gamma in 0..n {
+                    if beta == gamma {
+                        continue;
+                    }
+                    let (b, g) = (ProcessorId(beta), ProcessorId(gamma));
+                    let mut best: Option<(PathKind, f64, f64)> = None;
+                    for rho in PathKind::ALL {
+                        paths.set(b, g, rho);
+                        let (max_energy, makespan) = eval(&paths);
+                        let feasible = makespan <= problem.horizon_ms + 1e-9;
+                        let better = match best {
+                            None => true,
+                            Some((_, be, bm)) => {
+                                let best_feasible = bm <= problem.horizon_ms + 1e-9;
+                                match (feasible, best_feasible) {
+                                    (true, false) => true,
+                                    (false, true) => false,
+                                    (true, true) => max_energy < be,
+                                    (false, false) => makespan < bm,
+                                }
+                            }
+                        };
+                        if better {
+                            best = Some((rho, max_energy, makespan));
+                        }
+                    }
+                    let (rho, _, _) = best.expect("two candidates evaluated");
+                    paths.set(b, g, rho);
+                }
+            }
+            paths
+        }
+    }
+
+    /// The plan-based phases 2 and 3 against the reference, on every `M` in
+    /// 4..=40, mesh sides 1–4 and horizons from tight (α = 0.5 and 1.2
+    /// reach infeasible candidates on both sides of the comparison) to
+    /// loose: the same path table, and bit-equal estimated schedules,
+    /// start times and balanced energies.
+    #[test]
+    fn phase3_matches_reference_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut deployed, mut rejected) = (0, 0);
+        for seed in 0..3 {
+            for m in (4 + seed as usize..=40).step_by(3) {
+                for side in 1..=4 {
+                    for alpha in [0.5, 1.2, 1.6, 3.0] {
+                        let g = generate(&GeneratorConfig::typical(m), seed).unwrap();
+                        let p = ProblemInstance::from_original(
+                            &g,
+                            Platform::homogeneous(side * side).unwrap(),
+                            WeightedNoc::new(
+                                Mesh2D::square(side).unwrap(),
+                                NocParams::typical(),
+                                seed,
+                            )
+                            .unwrap(),
+                            0.99,
+                            alpha,
+                        )
+                        .unwrap();
+                        let key = format!("M={m} side={side} alpha={alpha} seed={seed}");
+                        let p1 = phase1(&p).unwrap();
+                        let p2 = phase2(&p, &p1);
+                        let estimate = reference::phase2_estimate(&p, &p1, &p2.processor);
+                        assert_eq!(bits(&p2.estimated.start_ms), bits(&estimate.start_ms), "{key}");
+                        assert_eq!(bits(&p2.estimated.end_ms), bits(&estimate.end_ms), "{key}");
+                        let paths = reference::phase3(&p, &p1, &p2);
+                        assert_eq!(phase3(&p, &p1, &p2), paths, "{key}");
+                        let expected = reference::assemble(&p, &p1, &p2, paths);
+                        match heuristic_deployment(&p, &ObserverHandle::none()) {
+                            Ok(d) => {
+                                assert_eq!(bits(&d.start_ms), bits(&expected.start_ms), "{key}");
+                                assert_eq!(
+                                    d.energy_report(&p).max_mj().to_bits(),
+                                    reference::max_energy_mj(&p, &expected).to_bits(),
+                                    "{key}"
+                                );
+                                deployed += 1;
+                            }
+                            Err(DeployError::HeuristicInfeasible { phase: 3, .. }) => {
+                                let makespan = reference::makespan(&p, &expected);
+                                assert!(makespan > p.horizon_ms + 1e-9, "{key}");
+                                rejected += 1;
+                            }
+                            Err(e) => panic!("{key}: {e}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(deployed > 100 && rejected > 100, "{deployed} deployed, {rejected} rejected");
     }
 
     /// Phase 3's greedy per-pair refinement must never end up worse than

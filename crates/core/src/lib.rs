@@ -17,8 +17,8 @@
 //! heuristic solving, plus *online re-deployment* — absorb
 //! [`ScenarioEvent`]s (core fault, deadline change, aperiodic task
 //! arrival) and re-solve incrementally on carried solver state instead of
-//! from scratch. The free functions `solve_optimal` / `solve_heuristic` /
-//! `build_milp` remain as deprecated shims over the same machinery.
+//! from scratch. The free functions `solve_optimal` / `build_milp` remain
+//! as deprecated shims over the same machinery.
 //!
 //! Every deployment from either route can be checked by the independent
 //! constraint referee in [`validate`].
@@ -74,8 +74,6 @@ pub use fingerprint::{instance_fingerprint, model_fingerprint};
 pub use formulation::build_milp;
 pub use formulation::{DeployObjective, MilpEncoding, PathMode};
 pub use heuristic::{phase1, phase2, phase3, Phase1, Phase2};
-#[allow(deprecated)]
-pub use heuristic::{solve_heuristic, solve_heuristic_observed};
 #[allow(deprecated)]
 pub use optimal::solve_optimal;
 pub use optimal::{OptimalConfig, OptimalOutcome};

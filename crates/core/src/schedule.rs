@@ -6,6 +6,12 @@
 //! finished plus the task's receive time `t_i^comm`, and each processor runs
 //! one task at a time in the paper's layer-major priority order
 //! (Algorithm 2, step b: layers ascending, WCEC descending within a layer).
+//!
+//! Scheduling is split in two. A [`SchedulePlan`] holds what activation and
+//! frequency fix: the priority order, each task's active predecessors and
+//! its execution time. Running the plan against an allocation and a
+//! receive-time function places the tasks. Phase 2, the final assembly and
+//! every path candidate of phase 3 run the same plan code.
 
 use crate::problem::ProblemInstance;
 use ndp_platform::{LevelId, ProcessorId};
@@ -44,6 +50,117 @@ pub fn priority_order(problem: &ProblemInstance, active: &[bool]) -> Vec<TaskId>
     order
 }
 
+/// The allocation-independent part of list scheduling.
+#[derive(Debug)]
+pub(crate) struct SchedulePlan {
+    /// Active tasks in priority order. `layers()` puts every predecessor in
+    /// a strictly lower layer, so the layer-major order is topological and
+    /// each task is ready when its turn comes.
+    order: Vec<TaskId>,
+    /// `preds[pred_start[i]..pred_start[i + 1]]` are the active
+    /// predecessors of task `i` with their data sizes, ascending by id.
+    pred_start: Vec<usize>,
+    preds: Vec<(TaskId, f64)>,
+    /// Execution time of each task at its level (0 when inactive).
+    exec_ms: Vec<f64>,
+    num_processors: usize,
+}
+
+impl SchedulePlan {
+    /// Fixes the order, predecessor lists and execution times for the
+    /// given activation and frequency decisions.
+    pub(crate) fn new(problem: &ProblemInstance, active: &[bool], frequency: &[LevelId]) -> Self {
+        let graph = problem.tasks.graph();
+        let mut pred_start = Vec::with_capacity(graph.num_tasks() + 1);
+        let mut preds = Vec::new();
+        let mut exec_ms = vec![0.0; graph.num_tasks()];
+        pred_start.push(0);
+        for t in graph.task_ids() {
+            if active[t.index()] {
+                preds.extend(graph.predecessors(t).filter(|(p, _)| active[p.index()]));
+                exec_ms[t.index()] = problem.exec_time_ms(t, frequency[t.index()]);
+            }
+            pred_start.push(preds.len());
+        }
+        let plan = SchedulePlan {
+            order: priority_order(problem, active),
+            pred_start,
+            preds,
+            exec_ms,
+            num_processors: problem.num_processors(),
+        };
+        debug_assert!(plan.each_task_is_ready_in_turn(), "priority order must be topological");
+        plan
+    }
+
+    fn each_task_is_ready_in_turn(&self) -> bool {
+        let mut done = vec![false; self.exec_ms.len()];
+        self.order.iter().all(|&t| {
+            let ready = self.active_predecessors(t).iter().all(|(p, _)| done[p.index()]);
+            done[t.index()] = true;
+            ready
+        })
+    }
+
+    /// Active tasks in scheduling order.
+    pub(crate) fn order(&self) -> &[TaskId] {
+        &self.order
+    }
+
+    /// The active predecessors of `t` with data sizes, ascending by id
+    /// (empty when `t` is inactive).
+    pub(crate) fn active_predecessors(&self, t: TaskId) -> &[(TaskId, f64)] {
+        &self.preds[self.pred_start[t.index()]..self.pred_start[t.index() + 1]]
+    }
+
+    /// Places every active task on `processor[t]` in priority order,
+    /// writing its start and end times into `schedule` and returning the
+    /// makespan. Entries of inactive tasks are left as they are.
+    /// `proc_free` is scratch with one slot per processor.
+    ///
+    /// `comm_time(t)` is the total receive time `t_t^comm`.
+    pub(crate) fn run_into(
+        &self,
+        processor: &[ProcessorId],
+        mut comm_time: impl FnMut(TaskId) -> f64,
+        schedule: &mut Schedule,
+        proc_free: &mut [f64],
+    ) -> f64 {
+        proc_free.fill(0.0);
+        let mut makespan = 0.0;
+        for &t in &self.order {
+            let i = t.index();
+            let ready = self
+                .active_predecessors(t)
+                .iter()
+                .map(|(p, _)| schedule.end_ms[p.index()])
+                .fold(0.0, f64::max)
+                + comm_time(t);
+            let k = processor[i].index();
+            let s = ready.max(proc_free[k]);
+            let e = s + self.exec_ms[i];
+            schedule.start_ms[i] = s;
+            schedule.end_ms[i] = e;
+            proc_free[k] = e;
+            makespan = f64::max(makespan, e);
+        }
+        makespan
+    }
+
+    /// [`run_into`](SchedulePlan::run_into) on fresh buffers (inactive
+    /// tasks at 0).
+    pub(crate) fn run(
+        &self,
+        processor: &[ProcessorId],
+        comm_time: impl FnMut(TaskId) -> f64,
+    ) -> Schedule {
+        let n_tasks = self.exec_ms.len();
+        let mut schedule = Schedule { start_ms: vec![0.0; n_tasks], end_ms: vec![0.0; n_tasks] };
+        self.run_into(processor, comm_time, &mut schedule, &mut vec![0.0; self.num_processors]);
+        schedule
+    }
+}
+
 /// Builds the schedule by list scheduling.
 ///
 /// `comm_time(i)` must return the total receive time `t_i^comm` of task `i`
@@ -55,38 +172,7 @@ pub fn list_schedule(
     processor: &[ProcessorId],
     comm_time: impl Fn(TaskId) -> f64,
 ) -> Schedule {
-    let graph = problem.tasks.graph();
-    let n_tasks = graph.num_tasks();
-    let order = priority_order(problem, active);
-    let mut start = vec![0.0; n_tasks];
-    let mut end = vec![0.0; n_tasks];
-    let mut scheduled = vec![false; n_tasks];
-    let mut proc_free = vec![0.0; problem.num_processors()];
-    let mut remaining: Vec<TaskId> = order;
-    while !remaining.is_empty() {
-        // First task in priority order whose active predecessors are done.
-        let pos = remaining
-            .iter()
-            .position(|&t| {
-                graph.predecessors(t).all(|(p, _)| !active[p.index()] || scheduled[p.index()])
-            })
-            .expect("a DAG always has a ready task");
-        let t = remaining.remove(pos);
-        let ready = graph
-            .predecessors(t)
-            .filter(|(p, _)| active[p.index()])
-            .map(|(p, _)| end[p.index()])
-            .fold(0.0, f64::max)
-            + comm_time(t);
-        let k = processor[t.index()].index();
-        let s = ready.max(proc_free[k]);
-        let e = s + problem.exec_time_ms(t, frequency[t.index()]);
-        start[t.index()] = s;
-        end[t.index()] = e;
-        proc_free[k] = e;
-        scheduled[t.index()] = true;
-    }
-    Schedule { start_ms: start, end_ms: end }
+    SchedulePlan::new(problem, active, frequency).run(processor, comm_time)
 }
 
 #[cfg(test)]

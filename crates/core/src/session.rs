@@ -21,8 +21,8 @@
 //!   solve warm-starts from the heuristic on the new problem.
 //!
 //! The session is also the unified front door for one-shot solving — it
-//! subsumes the deprecated free functions `solve_heuristic`,
-//! `solve_heuristic_observed`, `solve_optimal` and `build_milp`:
+//! subsumes the deprecated free functions `solve_optimal` and
+//! `build_milp`:
 //!
 //! ```
 //! use ndp_core::prelude::*;
@@ -257,8 +257,7 @@ impl DeploymentSession {
 
     /// Runs the paper's 3-phase decomposition heuristic on the current
     /// problem (Algorithms 1–3), emitting phase markers into the solver
-    /// options' observer. Replaces the deprecated `solve_heuristic` /
-    /// `solve_heuristic_observed`.
+    /// options' observer.
     ///
     /// The heuristic is stateless and fault-oblivious: after a
     /// [`ScenarioEvent::CoreFault`] its deployment may use the faulted
@@ -819,18 +818,6 @@ mod tests {
         }
         let err = s.apply(&ScenarioEvent::CoreFault { processor: ProcessorId(3) });
         assert!(matches!(err, Err(DeployError::InvalidParameter { .. })));
-    }
-
-    #[test]
-    fn heuristic_matches_deprecated_entry_point() {
-        let p = small_instance(4, 6);
-        let s = DeploymentSession::new(p.clone());
-        let via_session = s.heuristic().unwrap();
-        #[allow(deprecated)]
-        let via_free = crate::heuristic::solve_heuristic(&p).unwrap();
-        assert_eq!(via_session.processor, via_free.processor);
-        assert_eq!(via_session.frequency, via_free.frequency);
-        assert_eq!(via_session.active, via_free.active);
     }
 
     #[test]

@@ -84,21 +84,8 @@ impl Deployment {
         if !self.active[i.index()] {
             return 0.0;
         }
-        let gamma = self.processor[i.index()];
-        let mut total = 0.0;
-        for (p, data) in problem.tasks.graph().predecessors(i) {
-            if !self.active[p.index()] {
-                continue;
-            }
-            let beta = self.processor[p.index()];
-            if beta == gamma {
-                continue;
-            }
-            let rho = self.paths.kind(beta, gamma);
-            let t = problem.comm.time_ms(problem.node_of(beta), problem.node_of(gamma), rho);
-            total += problem.time_weight(data) * t;
-        }
-        total
+        let preds = problem.tasks.graph().predecessors(i).filter(|(p, _)| self.active[p.index()]);
+        receive_time_ms(problem, &self.processor, &self.paths, self.processor[i.index()], preds)
     }
 
     /// Number of active tasks allocated to each processor.
@@ -119,35 +106,93 @@ impl Deployment {
 
     /// Full per-processor energy breakdown.
     pub fn energy_report(&self, problem: &ProblemInstance) -> EnergyReport {
-        let n = problem.num_processors();
-        let mut comp = vec![0.0; n];
-        let mut comm = vec![0.0; n];
-        for i in problem.tasks.graph().task_ids() {
-            if !self.active[i.index()] {
-                continue;
-            }
-            comp[self.processor[i.index()].index()] +=
-                problem.exec_energy_mj(i, self.frequency[i.index()]);
+        let mut comm = vec![0.0; problem.num_processors()];
+        add_comm_energy(
+            problem,
+            &self.paths,
+            cross_transfers(problem, &self.active, &self.processor),
+            &mut comm,
+        );
+        EnergyReport {
+            comp_mj: comp_energy_mj(problem, &self.active, &self.frequency, &self.processor),
+            comm_mj: comm,
         }
-        for (p, s, data) in problem.tasks.graph().edges() {
-            if !(self.active[p.index()] && self.active[s.index()]) {
-                continue;
-            }
-            let beta = self.processor[p.index()];
-            let gamma = self.processor[s.index()];
-            if beta == gamma {
-                continue;
-            }
-            let rho = self.paths.kind(beta, gamma);
-            let (nb, ng) = (problem.node_of(beta), problem.node_of(gamma));
-            for (k, c) in comm.iter_mut().enumerate() {
-                let e = problem.comm.energy_at_mj(nb, ng, NodeId(k), rho);
-                if e != 0.0 {
-                    *c += data * e;
-                }
+    }
+}
+
+/// The receive time of a task on `gamma` whose active predecessors are
+/// `preds`: each predecessor on another processor adds the selected
+/// path's latency, in the order given.
+pub(crate) fn receive_time_ms(
+    problem: &ProblemInstance,
+    processor: &[ProcessorId],
+    paths: &PathChoice,
+    gamma: ProcessorId,
+    preds: impl IntoIterator<Item = (TaskId, f64)>,
+) -> f64 {
+    let mut total = 0.0;
+    for (p, data) in preds {
+        let beta = processor[p.index()];
+        if beta == gamma {
+            continue;
+        }
+        let rho = paths.kind(beta, gamma);
+        let t = problem.comm.time_ms(problem.node_of(beta), problem.node_of(gamma), rho);
+        total += problem.time_weight(data) * t;
+    }
+    total
+}
+
+/// `E_k^comp` per processor: active tasks' execution energies, summed in
+/// task-id order.
+pub(crate) fn comp_energy_mj(
+    problem: &ProblemInstance,
+    active: &[bool],
+    frequency: &[LevelId],
+    processor: &[ProcessorId],
+) -> Vec<f64> {
+    let mut comp = vec![0.0; problem.num_processors()];
+    for i in problem.tasks.graph().task_ids() {
+        if active[i.index()] {
+            comp[processor[i.index()].index()] += problem.exec_energy_mj(i, frequency[i.index()]);
+        }
+    }
+    comp
+}
+
+/// The edges between active tasks on different processors, as
+/// `(β, γ, data size)` in `edges()` order.
+pub(crate) fn cross_transfers<'a>(
+    problem: &'a ProblemInstance,
+    active: &'a [bool],
+    processor: &'a [ProcessorId],
+) -> impl Iterator<Item = (ProcessorId, ProcessorId, f64)> + 'a {
+    problem
+        .tasks
+        .graph()
+        .edges()
+        .filter(move |&(p, s, _)| active[p.index()] && active[s.index()])
+        .map(move |(p, s, data)| (processor[p.index()], processor[s.index()], data))
+        .filter(|&(beta, gamma, _)| beta != gamma)
+}
+
+/// Adds each transfer's per-processor energy under `paths` to `comm`, in
+/// the order given (zero entries of `e_{βγkρ}` are skipped).
+pub(crate) fn add_comm_energy(
+    problem: &ProblemInstance,
+    paths: &PathChoice,
+    transfers: impl IntoIterator<Item = (ProcessorId, ProcessorId, f64)>,
+    comm: &mut [f64],
+) {
+    for (beta, gamma, data) in transfers {
+        let rho = paths.kind(beta, gamma);
+        let (nb, ng) = (problem.node_of(beta), problem.node_of(gamma));
+        for (k, c) in comm.iter_mut().enumerate() {
+            let e = problem.comm.energy_at_mj(nb, ng, NodeId(k), rho);
+            if e != 0.0 {
+                *c += data * e;
             }
         }
-        EnergyReport { comp_mj: comp, comm_mj: comm }
     }
 }
 
@@ -161,19 +206,23 @@ pub struct EnergyReport {
 }
 
 impl EnergyReport {
+    fn totals(&self) -> impl Iterator<Item = f64> + '_ {
+        self.comp_mj.iter().zip(&self.comm_mj).map(|(a, b)| a + b)
+    }
+
     /// `E_k^all = E_k^comp + E_k^comm` for each processor.
     pub fn per_processor_mj(&self) -> Vec<f64> {
-        self.comp_mj.iter().zip(&self.comm_mj).map(|(a, b)| a + b).collect()
+        self.totals().collect()
     }
 
     /// The paper's objective: `max_k E_k^all`.
     pub fn max_mj(&self) -> f64 {
-        self.per_processor_mj().into_iter().fold(0.0, f64::max)
+        self.totals().fold(0.0, f64::max)
     }
 
     /// Total system energy `Σ_k E_k^all` (the ME objective).
     pub fn total_mj(&self) -> f64 {
-        self.per_processor_mj().into_iter().sum()
+        self.totals().sum()
     }
 
     /// The balance index `φ = max_k E_k / min_{k: E_k ≠ 0} E_k` of

@@ -26,6 +26,9 @@ pub struct TaskGraph {
     tasks: Vec<Task>,
     /// `(pred, succ) → data size (units)`.
     edges: BTreeMap<(TaskId, TaskId), f64>,
+    /// The same edges keyed `(succ, pred)`, so predecessor lookups are
+    /// range scans like successor lookups.
+    incoming: BTreeMap<(TaskId, TaskId), f64>,
 }
 
 impl TaskGraph {
@@ -64,6 +67,7 @@ impl TaskGraph {
             return Err(TasksetError::CycleDetected { from: pred.index(), to: succ.index() });
         }
         self.edges.insert((pred, succ), data_size);
+        self.incoming.insert((succ, pred), data_size);
         Ok(())
     }
 
@@ -144,9 +148,9 @@ impl TaskGraph {
         self.edges.range((t, TaskId(0))..=(t, TaskId(usize::MAX))).map(|(&(_, s), &d)| (s, d))
     }
 
-    /// Direct predecessors of `t` with data sizes.
+    /// Direct predecessors of `t` with data sizes, in ascending id order.
     pub fn predecessors(&self, t: TaskId) -> impl Iterator<Item = (TaskId, f64)> + '_ {
-        self.edges.iter().filter(move |(&(_, s), _)| s == t).map(|(&(p, _), &d)| (p, d))
+        self.incoming.range((t, TaskId(0))..=(t, TaskId(usize::MAX))).map(|(&(_, p), &d)| (p, d))
     }
 
     /// In-degree of `t`.
@@ -326,6 +330,54 @@ mod tests {
         // Weight = WCEC: path a(1) -> c(3) -> d(1) = 5 beats a -> b -> d = 4.
         let cp = g.critical_path(|t| g.task(t).wcec);
         assert_eq!(cp, vec![a, c, d]);
+    }
+
+    use crate::duplication::DuplicatedGraph;
+    use proptest::prelude::*;
+
+    /// `predecessors` / `in_degree` against a brute-force filter over
+    /// `edges()`: same tasks, same order, same data sizes.
+    fn assert_predecessors_match_edges(g: &TaskGraph) -> std::result::Result<(), TestCaseError> {
+        for t in g.task_ids() {
+            let fast: Vec<(TaskId, f64)> = g.predecessors(t).collect();
+            let brute: Vec<(TaskId, f64)> =
+                g.edges().filter(|&(_, s, _)| s == t).map(|(p, _, d)| (p, d)).collect();
+            prop_assert_eq!(&fast, &brute, "predecessors of {}: {:?} vs {:?}", t, fast, brute);
+            prop_assert_eq!(g.in_degree(t), brute.len(), "in-degree of {}", t);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random edge attempts in both directions (cycle-closing ones are
+        /// rejected and must leave no trace), then one existing edge
+        /// re-added with a new data size: `add_edge` overwrites, and the
+        /// predecessor index must follow. Checked on the graph and on its
+        /// duplication expansion.
+        #[test]
+        fn predecessors_equal_brute_force_filter(
+            n in 1usize..14,
+            attempts in proptest::collection::vec((0usize..14, 0usize..14, 0.0f64..8.0), 0..48),
+            overwrite in (0usize..48, 8.0f64..16.0),
+        ) {
+            let mut g = TaskGraph::new();
+            for i in 0..n {
+                g.add_task(Task::new(format!("t{i}"), 1e6, 10.0));
+            }
+            for &(p, s, d) in &attempts {
+                let _ = g.add_edge(TaskId(p % n), TaskId(s % n), d);
+            }
+            let edges: Vec<(TaskId, TaskId, f64)> = g.edges().collect();
+            if !edges.is_empty() {
+                let (p, s, _) = edges[overwrite.0 % edges.len()];
+                g.add_edge(p, s, overwrite.1).unwrap();
+                prop_assert_eq!(g.data_size(p, s), Some(overwrite.1));
+            }
+            assert_predecessors_match_edges(&g)?;
+            assert_predecessors_match_edges(DuplicatedGraph::expand(&g).graph())?;
+        }
     }
 
     #[test]
