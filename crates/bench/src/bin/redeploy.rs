@@ -16,10 +16,12 @@
 //! ```
 //!
 //! `--smoke` runs a fixed small grid and exits non-zero if the two arms
-//! diverge on any proven answer, or if the incremental arm is slower in
-//! aggregate over the events it absorbed in place (a `Rebuilt` event
-//! reconstructs the model exactly like the scratch arm, so those rows
-//! gate agreement only) — the CI gate for the re-solve engine. `--append-json`
+//! diverge on any proven answer, if an event class blows its node envelope,
+//! or if the incremental arm is slower in aggregate over the events it
+//! absorbed in place (a `Rebuilt` event reconstructs the model exactly like
+//! the scratch arm, so those rows stay out of the wall-clock gate; the
+//! all-row aggregate is printed too) — the CI gate for the re-solve
+//! engine. `--append-json`
 //! appends one record per (seed, event) in the `BENCH_milp.json`
 //! trajectory layout, with the `speedup` column filled in.
 
@@ -119,6 +121,11 @@ fn timed_solve(session: &mut DeploymentSession) -> Timed {
     let t0 = Instant::now();
     let outcome = session.solve().expect("solve must not error");
     Timed { outcome, seconds: t0.elapsed().as_secs_f64() }
+}
+
+/// Summed (incremental, from-scratch) wall-clock seconds over `rows`.
+fn totals<'a>(rows: impl Iterator<Item = &'a Row>) -> (f64, f64) {
+    rows.fold((0.0, 0.0), |(inc, scr), r| (inc + r.incremental.seconds, scr + r.scratch.seconds))
 }
 
 /// Runs the full scenario on one seed, returning one row per event.
@@ -289,13 +296,24 @@ fn main() {
         );
     }
 
-    let inc_total: f64 = rows.iter().map(|r| r.incremental.seconds).sum();
-    let scr_total: f64 = rows.iter().map(|r| r.scratch.seconds).sum();
-    let aggregate = scr_total / inc_total.max(1e-9);
+    let (inc_total, scr_total) = totals(rows.iter());
     println!(
         "# aggregate over {} re-solves: incremental {inc_total:.3} s, from-scratch \
-         {scr_total:.3} s, speedup {aggregate:.2}x",
-        rows.len()
+         {scr_total:.3} s, speedup {:.2}x",
+        rows.len(),
+        scr_total / inc_total.max(1e-9)
+    );
+    // Both arms rebuild a `Rebuilt` event's model from scratch and explore
+    // the same tree, so host drift alone decides its ratio: the wall-clock
+    // gate covers the events absorbed in place.
+    let in_place: Vec<&Row> =
+        rows.iter().filter(|r| r.disposition != EventDisposition::Rebuilt).collect();
+    let (inc_gated, scr_gated) = totals(in_place.iter().copied());
+    let aggregate = scr_gated / inc_gated.max(1e-9);
+    println!(
+        "# aggregate over {} re-solves absorbed in place (gated): incremental {inc_gated:.3} s, \
+         from-scratch {scr_gated:.3} s, speedup {aggregate:.2}x",
+        in_place.len()
     );
     // Per-event-class aggregates, so a regression in one class (e.g. the
     // arrival rebuild) cannot hide behind the speedups of the others.
@@ -377,13 +395,13 @@ fn main() {
                 failed = true;
             }
         }
-        // The engine must stay a net win in wall-clock over the whole event
-        // stream: warm fathoming on the easy events has to pay for any tree
-        // reshaping on the hard ones.
-        if inc_total >= scr_total {
+        // The engine must stay a net win in wall-clock over the events it
+        // absorbs in place: warm fathoming on the easy events has to pay
+        // for any tree reshaping on the hard ones.
+        if !in_place.is_empty() && inc_gated >= scr_gated {
             eprintln!(
-                "smoke gate FAILED: incremental aggregate ({inc_total:.3} s) not faster than \
-                 from-scratch ({scr_total:.3} s)"
+                "smoke gate FAILED: incremental in-place aggregate ({inc_gated:.3} s) not faster \
+                 than from-scratch ({scr_gated:.3} s)"
             );
             failed = true;
         }
@@ -392,7 +410,7 @@ fn main() {
         }
         println!(
             "smoke gate ok: proven answers agree, every class within its node envelope, \
-             aggregate {aggregate:.2}x"
+             in-place aggregate {aggregate:.2}x"
         );
     }
 }

@@ -364,7 +364,7 @@ pub struct BenchRecord {
     pub warm_start: bool,
     /// Cutting planes enabled.
     pub cuts: bool,
-    /// Primal heuristics (root diving + RINS/RENS) enabled.
+    /// Primal heuristics (root diving + RENS) enabled.
     pub heuristics: bool,
     /// Node-level bound propagation enabled.
     pub propagation: bool,

@@ -71,9 +71,10 @@ pub(crate) struct OpenNode {
 }
 
 impl OpenNode {
-    /// The root node: no deltas, unbounded parent bound.
-    pub(crate) fn root() -> Self {
-        OpenNode { deltas: vec![], bound: f64::NEG_INFINITY, branched: None, parent_basis: None }
+    /// The root node: no deltas, parent bound `bound` (`-inf` on a fresh
+    /// search, the carried dual bound on a resumed one).
+    pub(crate) fn root(bound: f64) -> Self {
+        OpenNode { deltas: vec![], bound, branched: None, parent_basis: None }
     }
 }
 
@@ -1167,9 +1168,11 @@ pub(crate) struct ResumeState {
     /// Dual bound of the previous solve (internal minimization scale). A
     /// pure restriction only shrinks the feasible set, so the old bound
     /// stays a valid lower bound on the new optimum: the resumed search
-    /// seeds its root node with it, and a re-solve whose incumbent still
-    /// matches the old optimum closes the gap without exploring a single
-    /// node. [`ResolveSession`](crate::ResolveSession) resets this to
+    /// seeds its root node with it (serial and parallel alike), and a
+    /// re-solve whose incumbent still matches the old optimum closes the
+    /// gap without exploring a single node. When it closes the gap on the
+    /// validated warm start, the root heuristic phase is skipped as well.
+    /// [`ResolveSession`](crate::ResolveSession) resets this to
     /// `NEG_INFINITY` whenever a delta adds a variable (a new column can
     /// improve the objective, invalidating the bound).
     pub(crate) bound: f64,
@@ -1474,11 +1477,15 @@ pub(crate) fn solve_on_form(
         options.observer.emit(|| SolverEvent::Incumbent { objective, bound, gap: f64::INFINITY });
     }
 
-    // Root primal heuristics: dive the relaxation and search RINS/RENS
-    // neighborhoods for a strong starting incumbent; improvements merge
-    // into `warm` so both search modes prune from the first node.
+    // Root primal heuristics: dive the relaxation and search the RENS
+    // neighborhood for a strong starting incumbent; improvements merge
+    // into `warm` so both search modes prune from the first node. Skipped
+    // when the carried bound already proves the warm start: the root is
+    // pruned on its first pop, so the phase could gain less than the gap.
+    let root_bound = carried_bound.unwrap_or(f64::NEG_INFINITY);
+    let proven = warm.as_ref().is_some_and(|&(_, obj)| gap_closed(options, obj, root_bound));
     let mut heur = crate::heuristics::HeuristicOutcome::default();
-    let warm = if options.heuristics && !int_cols.is_empty() && !options.cancelled() {
+    let warm = if options.heuristics && !proven && !int_cols.is_empty() && !options.cancelled() {
         crate::heuristics::run_root(
             model,
             &sf,
@@ -1504,7 +1511,7 @@ pub(crate) fn solve_on_form(
             warm,
             start,
             root_basis.map(Arc::new),
-            carried_bound.unwrap_or(f64::NEG_INFINITY),
+            root_bound,
             capture,
             symmetry_plan,
         )?
@@ -1518,6 +1525,7 @@ pub(crate) fn solve_on_form(
             warm,
             start,
             threads,
+            root_bound,
             symmetry_plan,
         )?;
         // Parallel workers keep their bases and in-tree cuts private; the
@@ -1665,7 +1673,7 @@ fn serial_search(
     // fails, so a stale snapshot degrades gracefully. A carried dual bound
     // seeds the root, so a re-solve whose refreshed incumbent already
     // matches the previous optimum closes the gap on the first pop.
-    let root = OpenNode { parent_basis: root_basis, bound: root_bound, ..OpenNode::root() };
+    let root = OpenNode { parent_basis: root_basis, ..OpenNode::root(root_bound) };
     let best_bound_internal = match options.node_order {
         NodeOrder::DepthFirst => run_dfs(&mut worker, &mut incumbent, root_bounds, root)?,
         NodeOrder::BestBound => run_best_bound(&mut worker, &mut incumbent, root_bounds, root)?,
@@ -1947,7 +1955,7 @@ mod tests {
         let mut inc = LocalIncumbent::from_warm(None);
 
         // Solve the root properly so the worker is mid-search state.
-        let root = OpenNode::root();
+        let root = OpenNode::root(f64::NEG_INFINITY);
         worker.enter_node(&root, &root_bounds);
         worker.eval_node(&root, &mut inc).unwrap();
         assert_eq!(worker.cold_starts, 1, "the root starts cold");
@@ -1993,7 +2001,7 @@ mod tests {
             NodeWorker::new(&model, &sf, &options, &int_cols, &root_bounds, start, false);
         let mut inc = LocalIncumbent::from_warm(None);
 
-        let root = OpenNode::root();
+        let root = OpenNode::root(f64::NEG_INFINITY);
         worker.enter_node(&root, &root_bounds);
         worker.eval_node(&root, &mut inc).unwrap();
 

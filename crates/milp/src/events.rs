@@ -139,14 +139,13 @@ pub enum SolverEvent {
         bound: f64,
     },
     /// An improving integral point found by the root primal heuristics
-    /// (diving or a RINS/RENS neighborhood sub-MILP) *before* the tree
+    /// (diving or the RENS neighborhood sub-MILP) *before* the tree
     /// search started. Distinct from [`SolverEvent::Incumbent`] so the
     /// search stream keeps its canonical `root → incumbent` ordering;
     /// heuristic finds land in the pre-root window like
     /// [`SolverEvent::CutRound`].
     HeuristicIncumbent {
-        /// Which heuristic produced the point: `"dive"`, `"rens"` or
-        /// `"rins"`.
+        /// Which heuristic produced the point: `"dive"` or `"rens"`.
         heuristic: &'static str,
         /// Objective of the accepted point (user scale).
         objective: f64,

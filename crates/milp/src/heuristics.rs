@@ -1,9 +1,9 @@
-//! Root primal heuristics: relaxation-guided diving plus RINS/RENS
-//! neighborhood sub-MILPs, run once between the root cut loop and the tree
+//! Root primal heuristics: relaxation-guided diving plus a RENS
+//! neighborhood sub-MILP, run once between the root cut loop and the tree
 //! search.
 //!
-//! All three heuristics try to hand the search a strong starting incumbent
-//! so bound pruning bites from the first node:
+//! Both heuristics try to hand the search a strong starting incumbent so
+//! bound pruning bites from the first node:
 //!
 //! * **Dive** — solve the root LP on a private simplex, then repeatedly fix
 //!   the most fractional integer column to a nearby integer and
@@ -13,11 +13,9 @@
 //! * **RENS** — restrict every integer column to `[⌊x*⌋, ⌈x*⌉]` around the
 //!   root LP point `x*` and solve the restriction as a sub-MILP with a
 //!   small node budget ([`SolverOptions::heuristic_node_limit`]).
-//! * **RINS** — fix the integer columns where the incumbent and the root LP
-//!   point agree and search the remaining neighborhood the same way.
 //!
-//! Sub-MILPs run serial, observer-less and with `heuristics` off (no
-//! recursion); they inherit the parent's tolerances, cut configuration,
+//! The RENS sub-MILP runs serial, observer-less and with `heuristics` off
+//! (no recursion); it inherits the parent's tolerances, cut configuration,
 //! cancel token and remaining wall-clock budget. Every accepted point is
 //! validated against the *original* model rows and emits a
 //! [`SolverEvent::HeuristicIncumbent`]; time spent here lands in the
@@ -217,33 +215,6 @@ pub(crate) fn run_root(
         }
     }
 
-    // Phase 3: RINS — fix the columns where the incumbent and the root LP
-    // point agree, search the disagreement neighborhood.
-    if options.heuristic_node_limit > 0 && !options.cancelled() && remaining(options, start) > 0.05
-    {
-        if let Some((inc, _)) = best.clone() {
-            let mut sub_model = model.clone();
-            let mut fixed = 0usize;
-            for &j in int_cols {
-                let iv = inc[j].round();
-                if (x_root[j] - iv).abs() <= int_tol.max(1e-6) {
-                    let _ = sub_model.fix(VarId(j), iv);
-                    fixed += 1;
-                }
-            }
-            // All fixed re-proves the incumbent, none fixed is the full
-            // problem again: only a strict neighborhood is worth a solve.
-            if fixed > 0 && fixed < int_cols.len() {
-                let _ = sub_model.set_warm_start(inc);
-                if let Ok(sol) = sub_model.solve_with(&sub_options(options, start)) {
-                    if sol.has_incumbent() {
-                        offer(model, sf, options, &mut best, out, "rins", sol.values());
-                    }
-                }
-            }
-        }
-    }
-
     out.seconds = t0.elapsed().as_secs_f64();
     best
 }
@@ -403,8 +374,8 @@ mod tests {
     fn an_exhausted_budget_pins_the_overshoot_to_the_root_lp() {
         // Near-deadline parent: 5 s limit of which ~4.96 s are already
         // spent. Even with an effectively unbounded sub-MILP node budget,
-        // the phase may only run the root LP — the dive loop and both
-        // sub-MILPs must observe the exhausted budget and back off, so the
+        // the phase may only run the root LP — the dive loop and the RENS
+        // sub-MILP must observe the exhausted budget and back off, so the
         // overshoot is bounded by one LP solve, not a full sub-MILP.
         let model = knapsack();
         let mut options = SolverOptions::default().threads(1).time_limit(5.0);
@@ -415,8 +386,8 @@ mod tests {
         let mut out = HeuristicOutcome::default();
         let _ = run_root(&model, &sf, &options, &int_cols, &root_bounds, None, start, &mut out);
         let elapsed = t0.elapsed().as_secs_f64();
-        // Generous CI margin; without inheritance the sub-MILPs would be
-        // free to burn their node budget for arbitrarily long.
+        // Generous CI margin; without inheritance the sub-MILP would be
+        // free to burn its node budget for arbitrarily long.
         assert!(elapsed < 2.0, "heuristic phase overshot an exhausted deadline by {elapsed} s");
     }
 

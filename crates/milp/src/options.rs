@@ -162,12 +162,12 @@ pub struct SolverOptions {
     /// economics, so parallel workers search with root cuts only.
     pub cut_node_interval: usize,
     /// Master switch of the root primal heuristics (relaxation-guided
-    /// diving plus RINS/RENS neighborhood sub-MILPs). Heuristics run after
-    /// root separation and before the tree search, seeding the incumbent so
+    /// diving plus a RENS neighborhood sub-MILP). Heuristics run after root
+    /// separation and before the tree search, seeding the incumbent so
     /// pruning bites from the first node. Deterministic: the only random
     /// choices use a fixed-seed xorshift generator.
     pub heuristics: bool,
-    /// Node budget of each heuristic neighborhood sub-MILP (RINS/RENS).
+    /// Node budget of the heuristic RENS neighborhood sub-MILP.
     /// Larger budgets find better incumbents at a higher fixed cost.
     pub heuristic_node_limit: usize,
     /// Node-level bound propagation: before each node's LP solve, tighten
@@ -418,7 +418,7 @@ impl SolverOptions {
         self
     }
 
-    /// Sets the node budget of each heuristic sub-MILP, builder-style.
+    /// Sets the node budget of the heuristic RENS sub-MILP, builder-style.
     pub fn heuristic_node_limit(mut self, nodes: usize) -> Self {
         self.heuristic_node_limit = nodes;
         self

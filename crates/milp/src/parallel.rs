@@ -277,7 +277,8 @@ fn run_worker(shared: &SearchShared, id: usize, local: Option<Deque<OpenNode>>) 
 
 /// Runs the work-stealing search with `threads ≥ 2` workers. Same contract
 /// as the serial search: returns the incumbent and the proven global bound
-/// (internal minimization scale).
+/// (internal minimization scale). `root_bound` seeds the root node, as in
+/// the serial search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search(
     model: &Model,
@@ -288,9 +289,11 @@ pub(crate) fn search(
     warm: Option<(Vec<f64>, f64)>,
     start: Instant,
     threads: usize,
+    root_bound: f64,
     symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
 ) -> Result<SearchOutcome> {
     // Build the open-node pool and seed it with the root node.
+    let root = OpenNode::root(root_bound);
     let mut locals: Vec<Option<Deque<OpenNode>>> = Vec::with_capacity(threads);
     let pool = match options.node_order {
         NodeOrder::DepthFirst => {
@@ -298,13 +301,13 @@ pub(crate) fn search(
             let stealers = deques.iter().map(|d| d.stealer()).collect();
             locals.extend(deques.into_iter().map(Some));
             let injector = Injector::new();
-            injector.push(OpenNode::root());
+            injector.push(root);
             Pool::Deques { injector, stealers }
         }
         NodeOrder::BestBound => {
             locals.extend((0..threads).map(|_| None));
             let mut heap = BinaryHeap::new();
-            heap.push(HeapNode(OpenNode::root()));
+            heap.push(HeapNode(root));
             Pool::Heap(Mutex::new(heap))
         }
     };

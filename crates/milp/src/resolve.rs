@@ -9,7 +9,8 @@
 //!    thread), and
 //! 3. the last solve's proven **dual bound**, which seeds the next root
 //!    node: a re-solve whose refreshed incumbent still matches the old
-//!    optimum closes the gap without exploring a single node. A delta
+//!    optimum closes the gap without running the root heuristics or
+//!    exploring a single node, serial or parallel. A delta
 //!    that adds a variable invalidates the bound (a new column can
 //!    improve the objective) and resets it; the form and basis still
 //!    carry.
@@ -252,7 +253,9 @@ impl ResolveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstraintId, LinExpr, Objective, SolveStatus, VarKind};
+    use crate::{ConstraintId, LinExpr, Objective, SolveStatus, SolverEvent, VarKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn options() -> SolverOptions {
         SolverOptions::default().threads(1)
@@ -335,6 +338,7 @@ mod tests {
 
         let warm = sess.solve().unwrap();
         assert_eq!(warm.status(), SolveStatus::Optimal);
+        assert!(warm.stats.heuristic_seconds > 0.0, "a reset bound proves nothing: heuristics run");
         // z is free profit: the optimum gains exactly its value.
         assert!((warm.objective_value() - (first.objective_value() + 9.0)).abs() < 1e-6);
 
@@ -357,6 +361,32 @@ mod tests {
         assert_eq!(cold.status(), SolveStatus::Optimal);
         assert!(cold.objective_value() >= first.objective_value() - 1e-9);
         assert!(sess.is_warm(), "the cold solve re-arms the carry");
+    }
+
+    #[test]
+    fn proven_resolve_skips_the_root_heuristics() {
+        let mut sess = ResolveSession::new(knapsack(10, 14.0), options());
+        let first = sess.solve().unwrap();
+        // Fix a column the optimum leaves at 0: the carried bound still
+        // proves the old optimum, now the warm start.
+        let zero = first.values().iter().position(|&v| v < 0.5).unwrap();
+        let mut d = sess.model().delta();
+        d.fix(crate::VarId(zero), 0.0);
+        assert!(sess.apply(&d).unwrap().restriction);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let warm_start = bits(sess.model().warm_start().unwrap());
+        let found = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&found);
+        *sess.options_mut() = options().observer(Arc::new(move |e: &SolverEvent| {
+            seen.fetch_or(matches!(e, SolverEvent::HeuristicIncumbent { .. }), Ordering::Relaxed);
+        }));
+
+        let warm = sess.solve().unwrap();
+        assert_eq!(warm.status(), SolveStatus::Optimal);
+        let stats = &warm.stats;
+        assert_eq!((stats.heuristic_seconds, stats.heuristic_incumbents, warm.nodes), (0.0, 0, 0));
+        assert!(!found.load(Ordering::Relaxed), "no heuristic incumbent event");
+        assert_eq!(bits(warm.values()), warm_start, "the warm start is the answer");
     }
 
     #[test]

@@ -85,9 +85,10 @@ pub struct SolveStats {
     /// covers, pool scoring) — disjoint from the simplex and factorization
     /// buckets, which also cover the cut-loop LP re-optimizations.
     pub separation_seconds: f64,
-    /// Seconds spent in the root primal heuristics (diving and RINS/RENS
-    /// sub-MILPs), including their LP and sub-MILP solves — disjoint from
-    /// every other bucket.
+    /// Seconds spent in the root primal heuristics (diving and the RENS
+    /// sub-MILP), including their LP and sub-MILP solves — disjoint from
+    /// every other bucket. `0.0` when the phase did not run, e.g. on a
+    /// resumed re-solve whose carried bound proves its warm start.
     pub heuristic_seconds: f64,
     /// Seconds spent in node-level bound propagation (interval-activity
     /// analysis and bound edits; the node LP re-solve is not included) —

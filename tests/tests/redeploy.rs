@@ -101,11 +101,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// apply + warm re-solve == rebuild-from-scratch, for every prefix of
-    /// a random delta sequence.
+    /// a random delta sequence, with the session searching serial or
+    /// parallel (the scratch reference stays serial).
     #[test]
-    fn warm_resolve_equals_scratch_rebuild(milp in random_milp(), deltas in random_deltas()) {
+    fn warm_resolve_equals_scratch_rebuild(
+        milp in random_milp(),
+        deltas in random_deltas(),
+        threads in 1usize..=2,
+    ) {
         let (model, mut vars, mut rows) = build_model(&milp);
-        let mut sess = ResolveSession::new(model, serial_options());
+        let mut sess = ResolveSession::new(model, serial_options().threads(threads));
         sess.solve().expect("base solve");
         // The model has no public rhs accessor, so mirror row capacities here.
         let mut caps: Vec<f64> = milp.rows.iter().map(|(_, c)| *c).collect();
@@ -140,6 +145,27 @@ proptest! {
             }
         }
     }
+}
+
+/// A parallel re-solve after a restriction the old optimum survives is
+/// proven by the carried bound at the root, like the serial one.
+#[test]
+fn parallel_resolve_of_a_preserved_optimum_explores_no_node() {
+    let milp = RandomMilp {
+        values: vec![5.0, 4.0, 3.0, 7.0, 2.0, 6.0],
+        rows: vec![(vec![3.0, 2.0, 4.0, 5.0, 1.0, 4.0], 9.5)],
+    };
+    let (model, vars, _) = build_model(&milp);
+    let mut sess = ResolveSession::new(model, serial_options().threads(2));
+    let first = sess.solve().expect("base solve");
+    let zero = first.values().iter().position(|&v| v < 0.5).expect("a column left at 0");
+    let mut d = sess.model().delta();
+    d.fix(vars[zero], 0.0);
+    assert!(sess.apply(&d).expect("delta applies").restriction);
+    let warm = sess.solve().expect("warm re-solve");
+    assert_eq!(warm.status(), SolveStatus::Optimal);
+    assert_eq!(warm.node_count(), 0, "the carried bound must seed the parallel root");
+    assert_eq!(warm.objective_value(), first.objective_value());
 }
 
 // ---------------------------------------------------------------------------
