@@ -11,7 +11,7 @@
 //! basis_kernel [--tasks M] [--seconds S] [--seed K] [--instances I]
 //!              [--pricing dse|devex|dantzig] [--node-order dfs|best-bound]
 //!              [--warm on|off] [--cuts on|off] [--heuristics on|off]
-//!              [--propagation on|off] [--conflicts on|off]
+//!              [--propagation on|off]
 //!              [--branch-rule most-frac|first-frac|pseudo|reliability]
 //!              [--symmetry on|off] [--json PATH] [--append-json PATH]
 //!              [--ablation] [--cuts-ablation] [--heuristics-ablation]
@@ -30,8 +30,8 @@
 //! guard behind the cut engine's node-count claim.
 //!
 //! `--heuristics-ablation` runs the branch-and-bound accelerator grid
-//! (all-on, each of heuristics / propagation / conflict cuts individually
-//! off, all-off) on the same reference configuration and **fails** (exit
+//! (all-on, each of the root dive / propagation individually off,
+//! all-off) on the same reference configuration and **fails** (exit
 //! code 1) if any proven optima diverge, if the all-on run fails to prove
 //! an optimum that some reduced configuration proves within the same
 //! budget, or if the all-on tree is more than 5% larger than the all-off
@@ -67,12 +67,11 @@ use ndp_milp::{BasisKernel, BranchRule, NodeOrder, Pricing, SolverOptions};
 struct Accel {
     heuristics: bool,
     propagation: bool,
-    conflicts: bool,
 }
 
 impl Accel {
-    const ALL_ON: Accel = Accel { heuristics: true, propagation: true, conflicts: true };
-    const ALL_OFF: Accel = Accel { heuristics: false, propagation: false, conflicts: false };
+    const ALL_ON: Accel = Accel { heuristics: true, propagation: true };
+    const ALL_OFF: Accel = Accel { heuristics: false, propagation: false };
 }
 
 /// The tree-shrink dimensions of PR 10: branching rule and mesh-symmetry
@@ -98,7 +97,6 @@ struct KernelRun {
     cuts_applied: u64,
     heuristic_incumbents: u64,
     propagated_bounds: u64,
-    conflict_cuts_applied: u64,
     gap: f64,
     dual_bound: f64,
     objective: f64,
@@ -133,7 +131,6 @@ fn run(
         .cuts(cuts)
         .heuristics(accel.heuristics)
         .propagation(accel.propagation)
-        .conflict_cuts(accel.conflicts)
         .branch_rule(search.branch);
     if search.symmetry {
         // The solver verifies each mesh automorphism against the model
@@ -164,7 +161,6 @@ fn run(
         cuts_applied: sol.stats().cuts_applied,
         heuristic_incumbents: sol.stats().heuristic_incumbents,
         propagated_bounds: sol.stats().propagated_bounds,
-        conflict_cuts_applied: sol.stats().conflict_cuts_applied,
         gap: sol.gap(),
         dual_bound: sol.best_bound(),
         objective: if sol.has_incumbent() { sol.objective_value() } else { f64::NAN },
@@ -203,7 +199,6 @@ fn record(
         cuts,
         heuristics: accel.heuristics,
         propagation: accel.propagation,
-        conflict_cuts: accel.conflicts,
         threads: 1,
         status: r.status.clone(),
         nodes: r.nodes,
@@ -213,7 +208,6 @@ fn record(
         cuts_applied: r.cuts_applied,
         heuristic_incumbents: r.heuristic_incumbents,
         propagated_bounds: r.propagated_bounds,
-        conflict_cuts_applied: r.conflict_cuts_applied,
         gap: r.gap,
         dual_bound: r.dual_bound,
         seconds: r.seconds,
@@ -371,9 +365,9 @@ fn cuts_ablation(
     ok
 }
 
-/// Branch-and-bound accelerator grid (primal heuristics, node propagation,
-/// conflict cuts) on the sparse-lu/dse/warm/cuts-on reference
-/// configuration: all-on, each accelerator individually off, all-off.
+/// Branch-and-bound accelerator grid (root dive, node propagation) on the
+/// sparse-lu/dse/warm/cuts-on reference configuration: all-on, each
+/// accelerator individually off, all-off.
 ///
 /// Returns `false` when proven optima diverge, when the all-on run fails
 /// to prove an optimum some reduced configuration proves within the same
@@ -402,7 +396,6 @@ fn heuristics_ablation(
         ("accel-all-on", Accel::ALL_ON),
         ("no-heuristics", Accel { heuristics: false, ..Accel::ALL_ON }),
         ("no-propagation", Accel { propagation: false, ..Accel::ALL_ON }),
-        ("no-conflicts", Accel { conflicts: false, ..Accel::ALL_ON }),
         ("accel-all-off", Accel::ALL_OFF),
     ];
     let mut runs = Vec::with_capacity(arms.len());
@@ -415,9 +408,8 @@ fn heuristics_ablation(
     let all_on = &runs[0].1;
     let all_off = &runs[runs.len() - 1].1;
     println!(
-        "  all-on accelerator work: {} heuristic incumbent(s), {} propagated bound(s), \
-         {} conflict cut(s)",
-        all_on.heuristic_incumbents, all_on.propagated_bounds, all_on.conflict_cuts_applied
+        "  all-on accelerator work: {} heuristic incumbent(s), {} propagated bound(s)",
+        all_on.heuristic_incumbents, all_on.propagated_bounds
     );
 
     // Every proven optimum must agree with the first proven one.
@@ -658,7 +650,6 @@ fn main() {
             "--cuts" => cuts = on_off("--cuts", val),
             "--heuristics" => accel.heuristics = on_off("--heuristics", val),
             "--propagation" => accel.propagation = on_off("--propagation", val),
-            "--conflicts" => accel.conflicts = on_off("--conflicts", val),
             "--branch-rule" => {
                 search.branch = parse_branch_rule(val).unwrap_or_else(|| {
                     eprintln!("--branch-rule takes most-frac|first-frac|pseudo|reliability");

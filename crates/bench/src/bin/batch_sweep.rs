@@ -87,7 +87,6 @@ fn sweep_record(
         cuts: o.cuts,
         heuristics: o.heuristics,
         propagation: o.propagation,
-        conflict_cuts: o.conflict_cuts,
         threads: o.threads,
         status: "Sweep".into(),
         nodes: 0,
@@ -97,7 +96,6 @@ fn sweep_record(
         cuts_applied: 0,
         heuristic_incumbents: 0,
         propagated_bounds: 0,
-        conflict_cuts_applied: 0,
         gap: f64::NAN,
         dual_bound: f64::NAN,
         seconds,

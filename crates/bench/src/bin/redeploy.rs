@@ -182,7 +182,6 @@ fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
         cuts: true,
         heuristics: true,
         propagation: true,
-        conflict_cuts: true,
         threads: 1,
         status: format!("{:?}", out.status),
         nodes: out.nodes,
@@ -192,7 +191,6 @@ fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
         cuts_applied: out.stats.cuts_applied,
         heuristic_incumbents: out.stats.heuristic_incumbents,
         propagated_bounds: out.stats.propagated_bounds,
-        conflict_cuts_applied: out.stats.conflict_cuts_applied,
         gap: match out.objective_mj {
             Some(obj) => (obj - out.best_bound_mj).abs() / obj.abs().max(1.0),
             None => f64::INFINITY,

@@ -49,7 +49,6 @@ fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize
         cuts: true,
         heuristics: true,
         propagation: true,
-        conflict_cuts: true,
         threads,
         status: status.into(),
         nodes,
@@ -59,7 +58,6 @@ fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize
         cuts_applied: 0,
         heuristic_incumbents: 0,
         propagated_bounds: 0,
-        conflict_cuts_applied: 0,
         gap: 0.0,
         dual_bound: f64::INFINITY,
         seconds,

@@ -139,7 +139,6 @@ fn main() {
                 // varies them.
                 heuristics: true,
                 propagation: true,
-                conflict_cuts: true,
                 threads,
                 status: format!("{:?}", out.status),
                 nodes: out.nodes,
@@ -149,7 +148,6 @@ fn main() {
                 cuts_applied: out.stats.cuts_applied,
                 heuristic_incumbents: out.stats.heuristic_incumbents,
                 propagated_bounds: out.stats.propagated_bounds,
-                conflict_cuts_applied: out.stats.conflict_cuts_applied,
                 // Same formula as `Solution::gap`: relative to the incumbent,
                 // infinite (→ null in JSON) when none was found.
                 gap: match out.objective_mj {

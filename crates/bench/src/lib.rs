@@ -364,12 +364,10 @@ pub struct BenchRecord {
     pub warm_start: bool,
     /// Cutting planes enabled.
     pub cuts: bool,
-    /// Primal heuristics (root diving + RENS) enabled.
+    /// Root primal heuristic (diving) enabled.
     pub heuristics: bool,
     /// Node-level bound propagation enabled.
     pub propagation: bool,
-    /// Conflict analysis (no-good cuts from infeasible nodes) enabled.
-    pub conflict_cuts: bool,
     /// Worker threads.
     pub threads: usize,
     /// Termination status (`Optimal`, `Feasible`, ...).
@@ -388,8 +386,6 @@ pub struct BenchRecord {
     pub heuristic_incumbents: u64,
     /// Individual bound tightenings applied by node propagation.
     pub propagated_bounds: u64,
-    /// Conflict cuts installed in the worker LP.
-    pub conflict_cuts_applied: u64,
     /// Relative optimality gap of the incumbent: 0 when proven optimal,
     /// the remaining gap for a time/node-limited `Feasible` run, non-finite
     /// (serialized as `null`) when no incumbent exists. Distinguishes a
@@ -440,10 +436,9 @@ impl BenchRecord {
                 "{{\"instance\":\"{}\",\"kernel\":\"{}\",\"pricing\":\"{}\",",
                 "\"node_order\":\"{}\",",
                 "\"warm_start\":{},\"cuts\":{},\"heuristics\":{},\"propagation\":{},",
-                "\"conflict_cuts\":{},\"threads\":{},\"status\":\"{}\",\"nodes\":{},",
+                "\"threads\":{},\"status\":\"{}\",\"nodes\":{},",
                 "\"pivots\":{},\"warm_starts\":{},\"cold_starts\":{},\"cuts_applied\":{},",
                 "\"heuristic_incumbents\":{},\"propagated_bounds\":{},",
-                "\"conflict_cuts_applied\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
                 "\"batch\":{},\"portfolio\":{},\"sweep_wall_seconds\":{},",
                 "\"branch_rule\":{},\"symmetry\":{}}}"
@@ -456,7 +451,6 @@ impl BenchRecord {
             self.cuts,
             self.heuristics,
             self.propagation,
-            self.conflict_cuts,
             self.threads,
             self.status,
             self.nodes,
@@ -466,7 +460,6 @@ impl BenchRecord {
             self.cuts_applied,
             self.heuristic_incumbents,
             self.propagated_bounds,
-            self.conflict_cuts_applied,
             json_f64(self.gap),
             json_f64(self.dual_bound),
             self.seconds,
@@ -617,7 +610,6 @@ mod tests {
             cuts: true,
             heuristics: true,
             propagation: true,
-            conflict_cuts: false,
             threads: 1,
             status: "Optimal".into(),
             nodes: 12,
@@ -627,7 +619,6 @@ mod tests {
             cuts_applied: 7,
             heuristic_incumbents: 2,
             propagated_bounds: 610,
-            conflict_cuts_applied: 3,
             gap: 0.0,
             dual_bound: 42.5,
             seconds: 0.25,
@@ -648,7 +639,6 @@ mod tests {
             "\"cuts\":true",
             "\"heuristics\":true",
             "\"propagation\":true",
-            "\"conflict_cuts\":false",
             "\"nodes\":12",
             "\"pivots\":345",
             "\"warm_starts\":11",
@@ -656,7 +646,6 @@ mod tests {
             "\"cuts_applied\":7",
             "\"heuristic_incumbents\":2",
             "\"propagated_bounds\":610",
-            "\"conflict_cuts_applied\":3",
             "\"gap\":0.000000",
             "\"dual_bound\":42.500000",
             "\"seconds\":0.2500",
@@ -683,7 +672,6 @@ mod tests {
             cuts: false,
             heuristics: false,
             propagation: false,
-            conflict_cuts: false,
             threads: 2,
             status: "Unknown".into(),
             nodes: 3,
@@ -693,7 +681,6 @@ mod tests {
             cuts_applied: 0,
             heuristic_incumbents: 0,
             propagated_bounds: 0,
-            conflict_cuts_applied: 0,
             gap: f64::INFINITY,
             dual_bound: f64::NAN,
             seconds: 6.0,
@@ -723,7 +710,6 @@ mod tests {
             cuts: true,
             heuristics: true,
             propagation: true,
-            conflict_cuts: true,
             threads: 1,
             status: "Optimal".into(),
             nodes: 1,
@@ -733,7 +719,6 @@ mod tests {
             cuts_applied: 0,
             heuristic_incumbents: 0,
             propagated_bounds: 0,
-            conflict_cuts_applied: 0,
             gap: 0.0,
             dual_bound: 1.0,
             seconds: 0.1,

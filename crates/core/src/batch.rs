@@ -48,31 +48,8 @@ use crate::optimal::{best_warm_candidate, OptimalConfig, OptimalOutcome};
 use crate::problem::ProblemInstance;
 use crate::session::DeploymentSession;
 use crate::solution::Deployment;
+use ndp_milp::fingerprint::Fnv64;
 use ndp_milp::{run_batch, CancelToken, IncumbentFeed, SolveStatus, SolverOptions};
-
-/// 64-bit FNV-1a fold of one `u64` into `h`.
-fn fold(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fold_f64(h: u64, v: f64) -> u64 {
-    let v = if v == 0.0 { 0.0 } else { v };
-    fold(h, v.to_bits())
-}
-
-fn fold_str(h: u64, s: &str) -> u64 {
-    let mut h = fold(h, s.len() as u64);
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Digest of the solver knobs that steer the search trajectory.
 ///
@@ -83,18 +60,22 @@ fn fold_str(h: u64, s: &str) -> u64 {
 /// under 60 s, so every knob that can change the returned incumbent
 /// participates in the member key.
 fn trajectory_digest(s: &SolverOptions) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15;
-    h = fold_f64(h, s.time_limit);
-    h = fold(h, s.node_limit as u64);
-    h = fold(h, s.simplex_iteration_limit as u64);
-    h = fold(h, s.threads as u64);
-    h = fold(h, s.refactor_interval as u64);
-    h = fold(h, s.eta_limit as u64);
-    h = fold(h, s.max_cut_rounds as u64);
-    h = fold(h, s.cut_node_interval as u64);
-    h = fold(h, s.heuristic_node_limit as u64);
+    let mut h = Fnv64::with_state(0x9e37_79b9_7f4a_7c15);
+    h.write_f64(s.time_limit);
+    for v in [
+        s.node_limit,
+        s.simplex_iteration_limit,
+        s.threads,
+        s.refactor_interval,
+        s.eta_limit,
+        s.max_cut_rounds,
+        s.cut_node_interval,
+        s.reliability_threshold as usize,
+        s.strong_branch_pivot_limit,
+    ] {
+        h.write_u64(v as u64);
+    }
     let bools = [
-        s.rounding_heuristic,
         s.warm_start,
         s.presolve,
         s.cuts,
@@ -102,37 +83,46 @@ fn trajectory_digest(s: &SolverOptions) -> u64 {
         s.cover_cuts,
         s.heuristics,
         s.propagation,
-        s.conflict_cuts,
+        s.symmetry_breaking,
+        s.orbital_fixing,
     ];
     for (i, b) in bools.into_iter().enumerate() {
-        h = fold(h, (i as u64) << 1 | u64::from(b));
+        h.write_u64((i as u64) << 1 | u64::from(b));
     }
-    h = fold_str(h, &format!("{:?}", s.branch_rule));
-    h = fold_str(h, &format!("{:?}", s.node_order));
-    h = fold_str(h, &format!("{:?}", s.basis_kernel));
-    h = fold_str(h, &format!("{:?}", s.pricing));
-    h
+    h.write_u64(s.symmetry_candidates.len() as u64);
+    for perm in s.symmetry_candidates.iter() {
+        h.write_u64(perm.len() as u64);
+        for &j in perm {
+            h.write_u64(j as u64);
+        }
+    }
+    h.write_str(&format!("{:?}", s.branch_rule));
+    h.write_str(&format!("{:?}", s.node_order));
+    h.write_str(&format!("{:?}", s.basis_kernel));
+    h.write_str(&format!("{:?}", s.pricing));
+    h.finish()
 }
 
 /// Digest of the chosen warm-start deployment (the model fingerprint does
 /// not cover MIP start values).
 fn warm_digest(d: Option<&Deployment>) -> u64 {
-    let Some(d) = d else { return fold(0x517c_c1b7_2722_0a95, 0) };
-    let mut h = fold(0x517c_c1b7_2722_0a95, 1);
+    let mut h = Fnv64::with_state(0x517c_c1b7_2722_0a95);
+    h.write_u64(u64::from(d.is_some()));
+    let Some(d) = d else { return h.finish() };
     for (i, &a) in d.active.iter().enumerate() {
-        h = fold(h, (i as u64) << 1 | u64::from(a));
-        h = fold(h, d.frequency[i].index() as u64);
-        h = fold(h, d.processor[i].index() as u64);
-        h = fold_f64(h, d.start_ms[i]);
+        h.write_u64((i as u64) << 1 | u64::from(a));
+        h.write_u64(d.frequency[i].index() as u64);
+        h.write_u64(d.processor[i].index() as u64);
+        h.write_f64(d.start_ms[i]);
     }
     let n = d.paths.num_processors();
     for b in 0..n {
         for g in 0..n {
             use ndp_platform::ProcessorId;
-            h = fold_str(h, &format!("{:?}", d.paths.kind(ProcessorId(b), ProcessorId(g))));
+            h.write_str(&format!("{:?}", d.paths.kind(ProcessorId(b), ProcessorId(g))));
         }
     }
-    h
+    h.finish()
 }
 
 /// A shared, thread-safe memo of exact-solve outcomes, keyed by the
@@ -594,10 +584,10 @@ fn solve_exact(
     // the proof gap, which would break bit-identity for later no-feed
     // members).
     let guard = if cfg.solver.cancel.is_none() && !live_feed {
-        let mut k = session.fingerprint()?;
-        k = fold(k, trajectory_digest(&cfg.solver));
-        k = fold(k, warm_digest(chosen.as_ref()));
-        match shared.cache.claim(k) {
+        let mut k = Fnv64::with_state(session.fingerprint()?);
+        k.write_u64(trajectory_digest(&cfg.solver));
+        k.write_u64(warm_digest(chosen.as_ref()));
+        match shared.cache.claim(k.finish()) {
             Claim::Replay(hit) => {
                 return Ok(BatchOutcome { outcome: *hit, from_cache: true, seeded })
             }
@@ -625,6 +615,44 @@ mod tests {
     use ndp_noc::{Mesh2D, NocParams, PathKind, WeightedNoc};
     use ndp_platform::Platform;
     use ndp_taskset::{generate, GeneratorConfig, GraphShape};
+
+    #[test]
+    fn trajectory_digest_tracks_every_folded_knob() {
+        use ndp_milp::{BasisKernel, BranchRule, NodeOrder, Pricing};
+        let base = SolverOptions::default();
+        assert_eq!(trajectory_digest(&base), trajectory_digest(&SolverOptions::default()));
+        let b = || base.clone();
+        let flips = [
+            ("time_limit", b().time_limit(6.0)),
+            ("node_limit", b().node_limit(10)),
+            ("simplex_iteration_limit", b().simplex_iteration_limit(7)),
+            ("threads", b().threads(2)),
+            ("refactor_interval", SolverOptions { refactor_interval: 64, ..b() }),
+            ("eta_limit", b().eta_limit(32)),
+            ("max_cut_rounds", b().max_cut_rounds(3)),
+            ("cut_node_interval", b().cut_node_interval(2)),
+            ("reliability_threshold", b().reliability_threshold(4)),
+            ("strong_branch_pivot_limit", b().strong_branch_pivot_limit(9)),
+            ("warm_start", b().warm_start(false)),
+            ("presolve", b().presolve(false)),
+            ("cuts", b().cuts(false)),
+            ("gomory_cuts", b().gomory_cuts(false)),
+            ("cover_cuts", b().cover_cuts(false)),
+            ("heuristics", b().heuristics(false)),
+            ("propagation", b().propagation(false)),
+            ("symmetry_breaking", b().symmetry_breaking(false)),
+            ("orbital_fixing", b().orbital_fixing(false)),
+            ("symmetry_candidates", b().symmetry_candidates(vec![vec![1, 0]])),
+            ("branch_rule", b().branch_rule(BranchRule::Reliability)),
+            ("node_order", b().node_order(NodeOrder::BestBound)),
+            ("basis_kernel", b().basis_kernel(BasisKernel::Dense)),
+            ("pricing", b().pricing(Pricing::Devex)),
+        ];
+        let mut seen = std::collections::HashSet::from([trajectory_digest(&base)]);
+        for (knob, o) in &flips {
+            assert!(seen.insert(trajectory_digest(o)), "flipping {knob} left the digest unchanged");
+        }
+    }
 
     fn small_instance(m: usize, seed: u64) -> ProblemInstance {
         let mut cfg = GeneratorConfig::typical(m);

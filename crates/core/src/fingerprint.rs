@@ -20,22 +20,8 @@ use crate::error::Result;
 use crate::formulation::MilpEncoding;
 use crate::optimal::OptimalConfig;
 use crate::problem::ProblemInstance;
+use ndp_milp::fingerprint::Fnv64;
 use ndp_milp::{Model, SolverOptions};
-
-/// 64-bit FNV-1a over the canonical byte encoding of `v`.
-fn fold(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fold_f64(h: u64, v: f64) -> u64 {
-    let v = if v == 0.0 { 0.0 } else { v };
-    fold(h, v.to_bits())
-}
 
 /// Canonical cache key of one exact-solve request.
 ///
@@ -60,13 +46,14 @@ pub fn instance_fingerprint(problem: &ProblemInstance, config: &OptimalConfig) -
 /// events gets a key reflecting its *current* rows and bounds — hashing
 /// the unmutated problem instance would replay stale cached outcomes.
 pub fn model_fingerprint(model: &Model, solver: &SolverOptions) -> u64 {
-    let mut h = fold(0xcbf2_9ce4_8422_2325, model.fingerprint());
-    h = fold_f64(h, solver.integrality_tol);
-    h = fold_f64(h, solver.feasibility_tol);
-    h = fold_f64(h, solver.relative_gap);
-    h = fold_f64(h, solver.absolute_gap);
-    h = fold_f64(h, solver.infinite_bound);
-    h
+    let mut h = Fnv64::new();
+    h.write_u64(model.fingerprint());
+    h.write_f64(solver.integrality_tol);
+    h.write_f64(solver.feasibility_tol);
+    h.write_f64(solver.relative_gap);
+    h.write_f64(solver.absolute_gap);
+    h.write_f64(solver.infinite_bound);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -138,5 +125,24 @@ mod tests {
         gap.solver.relative_gap = 0.25;
         let gap_fp = instance_fingerprint(&problem(7), &gap).unwrap();
         assert_ne!(reference, gap_fp, "answer tolerances must change the key");
+    }
+
+    /// The request key is a cache key: a change to the hashing primitive or
+    /// to the encoding must show up here, not as a silent key shift.
+    #[test]
+    fn model_fingerprint_is_pinned_on_a_fixed_model() {
+        use ndp_milp::{LinExpr, Objective};
+        let mut m = Model::new("pin");
+        let mut weight = LinExpr::new();
+        let mut value = LinExpr::new();
+        for i in 0..5 {
+            let x = m.binary(format!("x{i}"));
+            weight.add_term(x, 2.0 + i as f64);
+            value.add_term(x, 3.0 + i as f64);
+        }
+        m.add_le("cap", weight, 7.0);
+        m.set_objective(Objective::Maximize, value);
+        assert_eq!(m.fingerprint(), 406_158_733_299_057_963);
+        assert_eq!(model_fingerprint(&m, &SolverOptions::default()), 17_647_812_739_114_175_119);
     }
 }

@@ -169,30 +169,18 @@ pub(crate) struct NodeWorker<'a> {
     /// Node-level bound propagation is armed
     /// ([`SolverOptions::propagation`] with integer columns present).
     propagate_on: bool,
-    /// Conflict no-good derivation is armed: worker-local rows allowed
-    /// (serial search) with [`SolverOptions::conflict_cuts`] on.
-    conflicts_on: bool,
     /// Structural integrality mask (length `model.num_vars()`).
     int_mask: Vec<bool>,
     /// Scratch structural lower bounds for the propagation pass.
     prop_lb: Vec<f64>,
     /// Scratch structural upper bounds for the propagation pass.
     prop_ub: Vec<f64>,
-    /// Scratch reference point for conflict-cut pool scoring.
-    conflict_ref: Vec<f64>,
-    /// Pool for this worker's conflict no-goods (dedup/scoring; conflict
-    /// rows stay in this worker's LP like in-tree covers).
-    conflict_pool: crate::cuts::CutPool,
     /// Individual bounds tightened by node propagation.
     pub(crate) propagated_bounds: u64,
     /// Nodes fathomed by propagation without an LP solve.
     pub(crate) propagation_fathoms: u64,
     /// Seconds spent propagating node bounds.
     pub(crate) propagation_seconds: f64,
-    /// Conflict no-goods derived from infeasible nodes.
-    pub(crate) conflict_cuts_generated: u64,
-    /// Conflict no-goods accepted by the pool and appended to the LP.
-    pub(crate) conflict_cuts_applied: u64,
     /// Verified symmetry plan for node-level lex (orbital) propagation;
     /// armed by [`NodeWorker::arm_symmetry`] after construction. `None`
     /// when no symmetry was verified or orbital fixing is off.
@@ -219,10 +207,6 @@ enum ProbeResult {
 /// priced on every later node of this worker, so unbounded growth would
 /// trade node count for per-node cost.
 const MAX_TREE_CUTS: usize = 200;
-
-/// Ceiling on conflict no-goods one worker may append, for the same
-/// pricing-cost reason as [`MAX_TREE_CUTS`].
-const MAX_CONFLICT_CUTS: usize = 200;
 
 /// Outcome of one in-tree separation round.
 enum TreeCutResult {
@@ -269,8 +253,7 @@ impl<'a> NodeWorker<'a> {
             is_int[j] = true;
         }
         let propagate_on = options.propagation && !int_cols.is_empty();
-        let conflicts_on = allow_tree_cuts && options.conflict_cuts && !int_cols.is_empty();
-        let binary = if tree_cuts || conflicts_on {
+        let binary = if tree_cuts {
             (0..model.num_vars()).map(|j| is_int[j] && root_bounds[j] == (0.0, 1.0)).collect()
         } else {
             Vec::new()
@@ -301,17 +284,12 @@ impl<'a> NodeWorker<'a> {
             cuts_applied: 0,
             separation_seconds: 0.0,
             propagate_on,
-            conflicts_on,
             int_mask: is_int,
             prop_lb: Vec::new(),
             prop_ub: Vec::new(),
-            conflict_ref: Vec::new(),
-            conflict_pool: crate::cuts::CutPool::new(),
             propagated_bounds: 0,
             propagation_fathoms: 0,
             propagation_seconds: 0.0,
-            conflict_cuts_generated: 0,
-            conflict_cuts_applied: 0,
             symmetry: None,
             orbital_fixings: 0,
             strong_branch_probes: 0,
@@ -451,9 +429,6 @@ impl<'a> NodeWorker<'a> {
     /// feasible rounding to `incumbent` and returns the objective of an
     /// accepted offer.
     fn try_rounding(&mut self, x: &[f64], incumbent: &mut dyn Incumbent) -> Option<f64> {
-        if !self.options.rounding_heuristic {
-            return None;
-        }
         let mut cand = std::mem::take(&mut self.round_buf);
         cand.clear();
         cand.extend_from_slice(x);
@@ -554,12 +529,9 @@ impl<'a> NodeWorker<'a> {
         if self.symmetry.is_some() && self.propagate_symmetry() {
             // Lex propagation refuted the node: every point of its box is
             // lex-dominated by a symmetric image, so the representative
-            // optimum lives elsewhere. Same event/conflict shape as a
-            // propagation fathom.
+            // optimum lives elsewhere. Same event shape as a propagation
+            // fathom.
             self.emit_node(node, f64::INFINITY, 0);
-            if self.conflicts_on {
-                self.maybe_conflict_cut(node);
-            }
             return Ok((vec![], f64::INFINITY));
         }
         if self.propagate_on && self.propagate_node() {
@@ -567,9 +539,6 @@ impl<'a> NodeWorker<'a> {
             // The node still emits its exploration event (bound +inf, zero
             // pivots) so node-counting observers see every evaluated node.
             self.emit_node(node, f64::INFINITY, 0);
-            if self.conflicts_on {
-                self.maybe_conflict_cut(node);
-            }
             return Ok((vec![], f64::INFINITY));
         }
         let pivots_before = self.lp.iterations;
@@ -586,9 +555,6 @@ impl<'a> NodeWorker<'a> {
             // An infeasible node's bound is +inf (internal scale); the event
             // reports the corresponding user-scale extreme.
             self.emit_node(node, f64::INFINITY, pivots);
-            if self.conflicts_on {
-                self.maybe_conflict_cut(node);
-            }
             return Ok((vec![], f64::INFINITY));
         }
         // The LP point is optimal for the *perturbed* costs; subtracting the
@@ -739,77 +705,6 @@ impl<'a> NodeWorker<'a> {
         self.prop_ub = pub_;
         self.propagation_seconds += t0.elapsed().as_secs_f64();
         !ok
-    }
-
-    /// Derives a globally valid no-good cut from an infeasible node whose
-    /// branching path consists entirely of binary fixings, and appends it
-    /// to this worker's LP through the conflict pool. LP (or propagation)
-    /// infeasibility under the fixings proves no integer point matches all
-    /// of them while the remaining columns roam the root box, so
-    /// `Σ_{fixed 0} x_j − Σ_{fixed 1} x_j ≥ 1 − #fixed-to-1` holds for
-    /// every integer-feasible point of the model.
-    fn maybe_conflict_cut(&mut self, node: &OpenNode) {
-        if node.deltas.is_empty() || self.conflict_pool.installed() >= MAX_CONFLICT_CUTS {
-            return;
-        }
-        // Fold the path into the final interval per column (later deltas
-        // overwrite earlier ones, matching `enter_node`).
-        let mut fix: Vec<(usize, f64, f64)> = Vec::new();
-        for &(j, l, u) in &node.deltas {
-            match fix.iter_mut().find(|&&mut (k, _, _)| k == j) {
-                Some(e) => {
-                    e.1 = l;
-                    e.2 = u;
-                }
-                None => fix.push((j, l, u)),
-            }
-        }
-        // The no-good argument needs every path column fixed to 0 or 1 under
-        // the root box; a general-integer or interval delta disqualifies the
-        // node (no cut — conservative).
-        let mut ones = 0usize;
-        for &(j, l, u) in &fix {
-            if !self.binary[j] || l != u || (l != 0.0 && l != 1.0) {
-                return;
-            }
-            if l == 1.0 {
-                ones += 1;
-            }
-        }
-        let mut coeffs: Vec<(usize, f64)> =
-            fix.iter().map(|&(j, _, u)| (j, if u == 1.0 { -1.0 } else { 1.0 })).collect();
-        coeffs.sort_unstable_by_key(|&(j, _)| j);
-        let cut = crate::cuts::Cut {
-            coeffs,
-            rhs: 1.0 - ones as f64,
-            sense: crate::cuts::CutSense::Ge,
-            family: crate::cuts::CutFamily::Conflict,
-            validity: crate::cuts::CutValidity::Global,
-        };
-        self.conflict_cuts_generated += 1;
-        // Score the candidate at the refuted assignment itself, where its
-        // violation is exactly 1.
-        let mut x_ref = std::mem::take(&mut self.conflict_ref);
-        x_ref.clear();
-        x_ref.resize(self.model.num_vars(), 0.0);
-        for &(j, _, u) in &fix {
-            if u == 1.0 {
-                x_ref[j] = 1.0;
-            }
-        }
-        let chosen = self.conflict_pool.select(vec![cut], &x_ref);
-        self.conflict_ref = x_ref;
-        if chosen.is_empty() {
-            return;
-        }
-        if self.lp.append_cut_rows(&chosen).is_err() {
-            // The extended basis would not refactorize: fall back to the
-            // slack basis over the grown form (always factorizable).
-            self.lp.reset_to_slack_basis();
-        }
-        self.conflict_cuts_applied += chosen.len() as u64;
-        let (depth, size) = (node.deltas.len(), fix.len());
-        self.options.observer.emit(|| SolverEvent::ConflictCut { depth, size });
     }
 
     /// Whether this node is an in-tree separation point: the serial search
@@ -1022,9 +917,6 @@ impl<'a> NodeWorker<'a> {
                 ProbeResult::Fathomed => {
                     // Both directions of some fractional column are primal
                     // infeasible: no integer point in this box.
-                    if self.conflicts_on {
-                        self.maybe_conflict_cut(node);
-                    }
                     return Ok((vec![], f64::INFINITY));
                 }
                 ProbeResult::Forced { j, v, up } => {
@@ -1140,10 +1032,6 @@ pub(crate) struct SearchOutcome {
     pub(crate) propagation_fathoms: u64,
     /// Seconds propagating node bounds, summed over workers.
     pub(crate) propagation_seconds: f64,
-    /// Conflict no-goods derived (0 for parallel runs).
-    pub(crate) conflict_cuts_generated: u64,
-    /// Conflict no-goods appended to a worker LP (0 for parallel runs).
-    pub(crate) conflict_cuts_applied: u64,
     /// Column fixings applied by lex (orbital) propagation, summed over
     /// workers.
     pub(crate) orbital_fixings: u64,
@@ -1477,8 +1365,8 @@ pub(crate) fn solve_on_form(
         options.observer.emit(|| SolverEvent::Incumbent { objective, bound, gap: f64::INFINITY });
     }
 
-    // Root primal heuristics: dive the relaxation and search the RENS
-    // neighborhood for a strong starting incumbent; improvements merge
+    // Root primal heuristic: dive the relaxation for a strong starting
+    // incumbent; improvements merge
     // into `warm` so both search modes prune from the first node. Skipped
     // when the carried bound already proves the warm start: the root is
     // pruned on its first pop, so the phase could gain less than the gap.
@@ -1611,8 +1499,6 @@ pub(crate) fn solve_on_form(
             heuristic_incumbents: heur.accepted,
             propagated_bounds: outcome.propagated_bounds,
             propagation_fathoms: outcome.propagation_fathoms,
-            conflict_cuts_generated: outcome.conflict_cuts_generated,
-            conflict_cuts_applied: outcome.conflict_cuts_applied,
             symmetry_orbits,
             orbital_fixings: outcome.orbital_fixings,
             strong_branch_probes: outcome.strong_branch_probes,
@@ -1680,7 +1566,7 @@ fn serial_search(
     };
 
     // Capture the worker's final form (base + root cuts + every in-tree
-    // and conflict cut it appended; structural bounds untouched because
+    // cut it appended; structural bounds untouched because
     // `set_bounds` edits only the working copies) and its last basis.
     if let Some(cap) = capture {
         let bound = if worker.hit_limit { best_bound_internal } else { incumbent.obj };
@@ -1716,8 +1602,6 @@ fn serial_search(
         propagated_bounds: worker.propagated_bounds,
         propagation_fathoms: worker.propagation_fathoms,
         propagation_seconds: worker.propagation_seconds,
-        conflict_cuts_generated: worker.conflict_cuts_generated,
-        conflict_cuts_applied: worker.conflict_cuts_applied,
         orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
     })

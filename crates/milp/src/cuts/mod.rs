@@ -57,9 +57,6 @@ pub(crate) enum CutFamily {
     Gomory,
     /// Knapsack cover cut.
     Cover,
-    /// No-good cut derived by conflict analysis from an infeasible node's
-    /// binary fixing set (see [`crate::branch`]).
-    Conflict,
     /// Lexicographic symmetry-breaking row for a verified model symmetry
     /// (see [`crate::symmetry`]). Installed unconditionally at the root —
     /// symmetry rows are usually *unviolated* at the LP point, so they

@@ -14,6 +14,7 @@
 //! iteration order ever leaks into cut selection.
 
 use crate::cuts::{Cut, CutSense};
+use crate::fingerprint::Fnv64;
 use std::collections::HashSet;
 
 /// Cuts accepted per separation round.
@@ -187,26 +188,17 @@ fn sense_sign(s: CutSense) -> f64 {
 }
 
 /// FNV-1a over the quantized, scale- and sense-normalized support.
-fn support_hash(cut: &Cut) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) fn support_hash(cut: &Cut) -> u64 {
     let sign = sense_sign(cut.sense);
     let max_abs = cut.coeffs.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max).max(1e-30);
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv64::new();
+    let quantize = |v: f64| (sign * v / max_abs * 1e6).round() as i64 as u64;
     for &(j, v) in &cut.coeffs {
-        eat(&(j as u64).to_le_bytes());
-        let q = (sign * v / max_abs * 1e6).round() as i64;
-        eat(&q.to_le_bytes());
+        h.write_u64(j as u64);
+        h.write_u64(quantize(v));
     }
-    let qr = (sign * cut.rhs / max_abs * 1e6).round() as i64;
-    eat(&qr.to_le_bytes());
-    h
+    h.write_u64(quantize(cut.rhs));
+    h.finish()
 }
 
 #[cfg(test)]

@@ -138,15 +138,12 @@ pub enum SolverEvent {
         /// The pruned node's inherited bound (user scale).
         bound: f64,
     },
-    /// An improving integral point found by the root primal heuristics
-    /// (diving or the RENS neighborhood sub-MILP) *before* the tree
-    /// search started. Distinct from [`SolverEvent::Incumbent`] so the
+    /// An improving integral point found by the root dive *before* the
+    /// tree search started. Distinct from [`SolverEvent::Incumbent`] so the
     /// search stream keeps its canonical `root → incumbent` ordering;
     /// heuristic finds land in the pre-root window like
     /// [`SolverEvent::CutRound`].
     HeuristicIncumbent {
-        /// Which heuristic produced the point: `"dive"` or `"rens"`.
-        heuristic: &'static str,
         /// Objective of the accepted point (user scale).
         objective: f64,
     },
@@ -174,14 +171,6 @@ pub enum SolverEvent {
         orbits: u64,
         /// Lexicographic symmetry-breaking rows installed at the root.
         rows: usize,
-    },
-    /// A globally valid conflict (no-good) cut was derived from an
-    /// infeasible node's binary fixing set and appended to the worker LP.
-    ConflictCut {
-        /// Depth of the infeasible node the conflict came from.
-        depth: usize,
-        /// Fixed binaries in the no-good (the cut's support size).
-        size: usize,
     },
     /// A new best integral solution was accepted.
     Incumbent {
@@ -240,8 +229,8 @@ impl fmt::Display for SolverEvent {
                 write!(f, "node {node}: bound {bound:.6} depth {depth} pivots {pivots}")
             }
             SolverEvent::NodePruned { bound } => write!(f, "pruned: bound {bound:.6}"),
-            SolverEvent::HeuristicIncumbent { heuristic, objective } => {
-                write!(f, "heuristic incumbent ({heuristic}): obj {objective:.6}")
+            SolverEvent::HeuristicIncumbent { objective } => {
+                write!(f, "heuristic incumbent: obj {objective:.6}")
             }
             SolverEvent::NodePropagated { node, tightened, fathomed } => {
                 write!(
@@ -251,9 +240,6 @@ impl fmt::Display for SolverEvent {
             }
             SolverEvent::SymmetryDetected { generators, orbits, rows } => {
                 write!(f, "symmetry: {generators} generators, {orbits} orbits, {rows} lex rows")
-            }
-            SolverEvent::ConflictCut { depth, size } => {
-                write!(f, "conflict cut: depth {depth}, {size} literals")
             }
             SolverEvent::Incumbent { objective, bound, gap } => {
                 write!(f, "incumbent: obj {objective:.6} bound {bound:.6} gap {:.3}%", gap * 100.0)
@@ -569,12 +555,10 @@ mod tests {
             reason: TerminationReason::Cancelled,
         };
         assert_eq!(t.to_string(), "terminated: Interrupted (cancelled)");
-        let h = SolverEvent::HeuristicIncumbent { heuristic: "dive", objective: 4.25 };
-        assert_eq!(h.to_string(), "heuristic incumbent (dive): obj 4.250000");
+        let h = SolverEvent::HeuristicIncumbent { objective: 4.25 };
+        assert_eq!(h.to_string(), "heuristic incumbent: obj 4.250000");
         let p = SolverEvent::NodePropagated { node: 3, tightened: 2, fathomed: false };
         assert_eq!(p.to_string(), "node 3 propagated: 2 bounds tightened, fathomed false");
-        let c = SolverEvent::ConflictCut { depth: 4, size: 4 };
-        assert_eq!(c.to_string(), "conflict cut: depth 4, 4 literals");
         let s = SolverEvent::SymmetryDetected { generators: 7, orbits: 3, rows: 7 };
         assert_eq!(s.to_string(), "symmetry: 7 generators, 3 orbits, 7 lex rows");
     }

@@ -15,41 +15,85 @@
 //! The intended consumer is solution caching in long-running services:
 //! identical deployment requests map to identical fingerprints and can be
 //! answered without re-solving.
+//!
+//! [`Fnv64`] is the workspace's one hashing primitive: the cut pool's
+//! duplicate keys and `ndp-core`'s request and batch-member keys are built
+//! on it too.
 
 use crate::expr::LinExpr;
 use crate::model::Model;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over byte chunks.
-pub(crate) struct Fnv64(u64);
+/// Incremental 64-bit FNV-1a over byte chunks.
+///
+/// Integers are folded as little-endian bytes and floats by their bit
+/// patterns with `-0.0` normalized to `0.0`, so a digest is the same in
+/// every process and on every IEEE-754 platform.
+///
+/// ```
+/// use ndp_milp::fingerprint::Fnv64;
+///
+/// let mut h = Fnv64::new();
+/// h.write_u64(7);
+/// h.write_f64(-0.0);
+/// let mut g = Fnv64::new();
+/// g.write_u64(7);
+/// g.write_f64(0.0);
+/// assert_eq!(h.finish(), g.finish());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv64(u64);
 
 impl Fnv64 {
-    pub(crate) fn new() -> Self {
-        Fnv64(FNV_OFFSET)
+    /// FNV-1a 64-bit offset basis.
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    /// FNV-1a 64-bit prime.
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher at the FNV offset basis.
+    pub const fn new() -> Self {
+        Fnv64(Self::OFFSET)
     }
 
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+    /// A hasher continuing from `state`: a previous [`Fnv64::finish`] to
+    /// extend a digest, or a domain seed that keeps unrelated digests apart.
+    pub const fn with_state(state: u64) -> Self {
+        Fnv64(state)
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
-    pub(crate) fn write_u64(&mut self, v: u64) {
+    /// Folds a `u64` as its little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        // Canonicalize the sign of zero so algebraically identical models
-        // cannot hash apart.
+    /// Folds an `f64` by its bit pattern, with the sign of zero
+    /// canonicalized so algebraically identical inputs cannot hash apart.
+    pub fn write_f64(&mut self, v: f64) {
         let v = if v == 0.0 { 0.0 } else { v };
         self.write_u64(v.to_bits());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// Folds a string, length-prefixed so adjacent strings cannot alias.
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// The digest so far.
+    pub const fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -148,5 +192,21 @@ mod tests {
         let (mut m, _) = knapsack("m");
         m.vars[2].ub = 2.0;
         assert_ne!(m.fingerprint(), base);
+    }
+
+    /// The hashes are cache and dedup keys: a change to the primitive or to
+    /// an encoding must show up here, not as a silent key shift.
+    #[test]
+    fn fingerprints_are_pinned_on_fixed_inputs() {
+        use crate::cuts::{Cut, CutFamily, CutSense, CutValidity};
+        assert_eq!(knapsack("m").0.fingerprint(), 406_158_733_299_057_963);
+        let cut = Cut {
+            coeffs: vec![(0, 2.0), (3, -1.5), (7, 0.25)],
+            rhs: 1.0,
+            sense: CutSense::Le,
+            family: CutFamily::Cover,
+            validity: CutValidity::Global,
+        };
+        assert_eq!(crate::cuts::pool::support_hash(&cut), 3_916_812_769_144_257_218);
     }
 }

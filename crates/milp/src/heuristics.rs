@@ -1,31 +1,23 @@
-//! Root primal heuristics: relaxation-guided diving plus a RENS
-//! neighborhood sub-MILP, run once between the root cut loop and the tree
-//! search.
+//! Root primal heuristic: relaxation-guided diving, run once between the
+//! root cut loop and the tree search.
 //!
-//! Both heuristics try to hand the search a strong starting incumbent so
-//! bound pruning bites from the first node:
+//! The dive tries to hand the search a strong starting incumbent so bound
+//! pruning bites from the first node: solve the root LP on a private
+//! simplex, then repeatedly fix the most fractional integer column to a
+//! nearby integer and re-optimize warm (each fix is one dual-simplex bound
+//! change). Near-half fractionalities break ties through a seeded
+//! xorshift64* generator, so repeated runs take the identical trajectory.
 //!
-//! * **Dive** — solve the root LP on a private simplex, then repeatedly fix
-//!   the most fractional integer column to a nearby integer and
-//!   re-optimize warm (each fix is one dual-simplex bound change). Near-half
-//!   fractionalities break ties through a seeded xorshift64* generator, so
-//!   repeated runs take the identical trajectory.
-//! * **RENS** — restrict every integer column to `[⌊x*⌋, ⌈x*⌉]` around the
-//!   root LP point `x*` and solve the restriction as a sub-MILP with a
-//!   small node budget ([`SolverOptions::heuristic_node_limit`]).
-//!
-//! The RENS sub-MILP runs serial, observer-less and with `heuristics` off
-//! (no recursion); it inherits the parent's tolerances, cut configuration,
-//! cancel token and remaining wall-clock budget. Every accepted point is
-//! validated against the *original* model rows and emits a
+//! The dive stops at the parent's deadline and cancel token. An accepted
+//! point is validated against the *original* model rows and emits a
 //! [`SolverEvent::HeuristicIncumbent`]; time spent here lands in the
 //! disjoint [`SolveStats::heuristic_seconds`](crate::SolveStats) bucket.
 //! Nothing here reads the clock for decisions (deadlines only bound work),
 //! so serial solves without a time limit stay bit-for-bit deterministic.
 
 use crate::branch::internal_objective;
-use crate::events::{ObserverHandle, SolverEvent};
-use crate::model::{Model, VarId};
+use crate::events::SolverEvent;
+use crate::model::Model;
 use crate::options::SolverOptions;
 use crate::simplex::{LpStatus, Simplex};
 use crate::standard::StandardForm;
@@ -35,7 +27,7 @@ use std::time::Instant;
 /// [`SolveStats`](crate::SolveStats) by [`crate::branch::solve`].
 #[derive(Debug, Default)]
 pub(crate) struct HeuristicOutcome {
-    /// Wall seconds of the whole phase (LP and sub-MILP solves included).
+    /// Wall seconds of the whole phase (root LP and dive re-solves).
     pub(crate) seconds: f64,
     /// Improving incumbents accepted.
     pub(crate) accepted: u64,
@@ -56,53 +48,9 @@ impl XorShift {
     }
 }
 
-/// Wall seconds left before the parent's deadline (`+inf` without one).
-fn remaining(options: &SolverOptions, start: Instant) -> f64 {
-    if options.time_limit.is_finite() {
-        options.time_limit - start.elapsed().as_secs_f64()
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// Options of a neighborhood sub-MILP: serial, quiet, budgeted, and
-/// heuristics off so the recursion stops at depth one.
-fn sub_options(options: &SolverOptions, start: Instant) -> SolverOptions {
-    let mut sub = options.clone();
-    sub.threads = 1;
-    sub.heuristics = false;
-    sub.node_limit = options.heuristic_node_limit;
-    sub.observer = ObserverHandle::none();
-    if options.time_limit.is_finite() {
-        sub.time_limit = remaining(options, start).max(0.0);
-    }
-    sub
-}
-
-/// Validates `cand` against the original model and installs it as the best
-/// point when it strictly improves; emits the heuristic-incumbent event.
-fn offer(
-    model: &Model,
-    sf: &StandardForm,
-    options: &SolverOptions,
-    best: &mut Option<(Vec<f64>, f64)>,
-    out: &mut HeuristicOutcome,
-    heuristic: &'static str,
-    cand: &[f64],
-) -> bool {
-    let tol = options.feasibility_tol.max(options.integrality_tol);
-    if !model.is_feasible(cand, tol * 10.0) {
-        return false;
-    }
-    let obj = internal_objective(model, sf, cand);
-    if best.as_ref().is_some_and(|&(_, b)| obj >= b) {
-        return false;
-    }
-    let objective = sf.user_objective(obj);
-    options.observer.emit(|| SolverEvent::HeuristicIncumbent { heuristic, objective });
-    *best = Some((cand.to_vec(), obj));
-    out.accepted += 1;
-    true
+/// Whether the parent's wall-clock budget is spent.
+fn time_up(options: &SolverOptions, start: Instant) -> bool {
+    options.time_limit.is_finite() && start.elapsed().as_secs_f64() >= options.time_limit
 }
 
 /// Runs the root heuristic phase over the post-cut form and returns the
@@ -120,8 +68,8 @@ pub(crate) fn run_root(
     out: &mut HeuristicOutcome,
 ) -> Option<(Vec<f64>, f64)> {
     // The form's structural columns must mirror the model's variables —
-    // a model delta that was not propagated into `sf` would make every
-    // dive and neighborhood search index the wrong columns.
+    // a model delta that was not propagated into `sf` would make the dive
+    // index the wrong columns.
     debug_assert_eq!(sf.n, model.num_vars(), "form out of sync with the model");
     debug_assert_eq!(root_bounds.len(), model.num_vars());
     let t0 = Instant::now();
@@ -145,13 +93,12 @@ pub(crate) fn run_root(
     }
     let mut x = Vec::new();
     lp.values_into(&mut x);
-    let x_root: Vec<f64> = x[..sf.n].to_vec();
 
-    // Phase 1: dive. Fix the most fractional column toward its nearest
-    // integer and re-optimize warm; an integral end point is a candidate.
+    // Fix the most fractional column toward its nearest integer and
+    // re-optimize warm; an integral end point is a candidate.
     let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
     for _ in 0..=int_cols.len() {
-        if options.cancelled() || remaining(options, start) <= 0.0 {
+        if options.cancelled() || time_up(options, start) {
             break;
         }
         let mut pick: Option<(usize, f64, f64)> = None;
@@ -163,11 +110,22 @@ pub(crate) fn run_root(
             }
         }
         let Some((j, v, _)) = pick else {
+            // Integral end point: keep it when it passes the original rows
+            // and strictly improves on the warm hint.
             let mut cand: Vec<f64> = x[..sf.n].to_vec();
             for &j in int_cols {
                 cand[j] = cand[j].round();
             }
-            offer(model, sf, options, &mut best, out, "dive", &cand);
+            let tol = options.feasibility_tol.max(options.integrality_tol);
+            if model.is_feasible(&cand, tol * 10.0) {
+                let obj = internal_objective(model, sf, &cand);
+                if !best.as_ref().is_some_and(|&(_, b)| obj >= b) {
+                    let objective = sf.user_objective(obj);
+                    options.observer.emit(|| SolverEvent::HeuristicIncumbent { objective });
+                    best = Some((cand, obj));
+                    out.accepted += 1;
+                }
+            }
             break;
         };
         let f = v - v.floor();
@@ -188,30 +146,6 @@ pub(crate) fn run_root(
         match lp.optimize() {
             Ok(LpStatus::Optimal) => lp.values_into(&mut x),
             _ => break, // infeasible dive or numerics: keep what we have
-        }
-    }
-
-    // Phase 2: RENS around the root LP point.
-    if options.heuristic_node_limit > 0 && !options.cancelled() && remaining(options, start) > 0.05
-    {
-        let mut sub_model = model.clone();
-        for &j in int_cols {
-            let mut v = x_root[j];
-            if (v - v.round()).abs() <= int_tol {
-                v = v.round();
-            }
-            let (rl, ru) = root_bounds[j];
-            let l = v.floor().max(rl);
-            let u = v.ceil().min(ru).max(l);
-            let _ = sub_model.set_bounds(VarId(j), l, u);
-        }
-        if let Some((v, _)) = &best {
-            let _ = sub_model.set_warm_start(v.clone());
-        }
-        if let Ok(sol) = sub_model.solve_with(&sub_options(options, start)) {
-            if sol.has_incumbent() {
-                offer(model, sf, options, &mut best, out, "rens", sol.values());
-            }
         }
     }
 
@@ -345,61 +279,29 @@ mod tests {
     }
 
     #[test]
-    fn sub_milps_inherit_the_remaining_budget_and_the_parent_token() {
-        let token = crate::CancelToken::new();
-        let options =
-            SolverOptions::default().threads(8).time_limit(10.0).cancel_token(token.clone());
-        // A solve that started 4 seconds ago has 6 seconds of budget left:
-        // the sub-MILP must inherit the *remaining* budget, not the parent's
-        // full limit (that is exactly the overshoot bug).
-        let start = Instant::now() - std::time::Duration::from_secs(4);
-        let sub = sub_options(&options, start);
-        assert_eq!(sub.threads, 1, "sub-MILPs must stay serial");
-        assert!(!sub.heuristics, "no recursive heuristic phases");
-        assert_eq!(sub.node_limit, options.heuristic_node_limit);
-        assert!(
-            sub.time_limit <= 6.0 + 0.1,
-            "sub-MILP budget {} must be capped at the parent's remaining 6 s",
-            sub.time_limit
-        );
-        assert!(sub.time_limit > 5.0, "remaining budget unexpectedly small: {}", sub.time_limit);
-        // The token is shared with the parent, not copied: cancelling the
-        // parent must cancel an in-flight sub-MILP.
-        assert!(!sub.cancelled());
-        token.cancel();
-        assert!(sub.cancelled(), "parent CancelToken must reach the sub-MILP");
-    }
-
-    #[test]
     fn an_exhausted_budget_pins_the_overshoot_to_the_root_lp() {
         // Near-deadline parent: 5 s limit of which ~4.96 s are already
-        // spent. Even with an effectively unbounded sub-MILP node budget,
-        // the phase may only run the root LP — the dive loop and the RENS
-        // sub-MILP must observe the exhausted budget and back off, so the
-        // overshoot is bounded by one LP solve, not a full sub-MILP.
+        // spent. The phase may only run the root LP — the dive loop must
+        // observe the exhausted budget and back off, so the overshoot is
+        // bounded by one LP solve.
         let model = knapsack();
-        let mut options = SolverOptions::default().threads(1).time_limit(5.0);
-        options.heuristic_node_limit = usize::MAX / 2;
+        let options = SolverOptions::default().threads(1).time_limit(5.0);
         let (sf, int_cols, root_bounds) = setup(&model, &options);
         let start = Instant::now() - std::time::Duration::from_millis(4960);
         let t0 = Instant::now();
         let mut out = HeuristicOutcome::default();
         let _ = run_root(&model, &sf, &options, &int_cols, &root_bounds, None, start, &mut out);
         let elapsed = t0.elapsed().as_secs_f64();
-        // Generous CI margin; without inheritance the sub-MILP would be
-        // free to burn its node budget for arbitrarily long.
+        // Generous CI margin.
         assert!(elapsed < 2.0, "heuristic phase overshot an exhausted deadline by {elapsed} s");
     }
 
     #[test]
     fn a_full_solve_with_heuristics_respects_a_tight_time_limit() {
-        // End-to-end pin through the public API: heuristics on, huge
-        // sub-MILP node budget, tiny wall budget.
+        // End-to-end pin through the public API: heuristics on, tiny wall
+        // budget.
         let model = knapsack();
-        let options = SolverOptions::default()
-            .threads(1)
-            .time_limit(0.25)
-            .heuristic_node_limit(usize::MAX / 2);
+        let options = SolverOptions::default().threads(1).time_limit(0.25);
         let t0 = Instant::now();
         let _ = model.solve_with(&options).expect("budgeted solve");
         let elapsed = t0.elapsed().as_secs_f64();
@@ -415,7 +317,7 @@ mod tests {
         let (sf, int_cols, root_bounds) = setup(&model, &options);
         let mut out = HeuristicOutcome::default();
         // The root LP may still solve (cancellation is cooperative), but no
-        // dive iteration or sub-MILP may run once the token is cancelled.
+        // dive iteration may run once the token is cancelled.
         let _ = run_root(
             &model,
             &sf,

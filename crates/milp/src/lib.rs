@@ -52,7 +52,7 @@ mod delta;
 mod error;
 mod events;
 mod expr;
-mod fingerprint;
+pub mod fingerprint;
 mod heuristics;
 mod lu;
 mod model;

@@ -114,8 +114,6 @@ pub struct SolverOptions {
     pub branch_rule: BranchRule,
     /// Node exploration order.
     pub node_order: NodeOrder,
-    /// Whether to run the LP-rounding incumbent heuristic at each node.
-    pub rounding_heuristic: bool,
     /// Refactorize the basis inverse every this many simplex pivots.
     pub refactor_interval: usize,
     /// Linear-algebra kernel backing the simplex basis.
@@ -161,26 +159,17 @@ pub struct SolverOptions {
     /// appended rows are worker-local and would break snapshot sharing
     /// economics, so parallel workers search with root cuts only.
     pub cut_node_interval: usize,
-    /// Master switch of the root primal heuristics (relaxation-guided
-    /// diving plus a RENS neighborhood sub-MILP). Heuristics run after root
-    /// separation and before the tree search, seeding the incumbent so
-    /// pruning bites from the first node. Deterministic: the only random
-    /// choices use a fixed-seed xorshift generator.
+    /// Master switch of the root primal heuristic (relaxation-guided
+    /// diving). It runs after root separation and before the tree search,
+    /// seeding the incumbent so pruning bites from the first node.
+    /// Deterministic: the only random choices use a fixed-seed xorshift
+    /// generator.
     pub heuristics: bool,
-    /// Node budget of the heuristic RENS neighborhood sub-MILP.
-    /// Larger budgets find better incumbents at a higher fixed cost.
-    pub heuristic_node_limit: usize,
     /// Node-level bound propagation: before each node's LP solve, tighten
     /// the node box by interval-activity analysis over the rows (the
     /// presolve arithmetic applied at node bounds). Nodes whose box empties
     /// fathom without a simplex solve.
     pub propagation: bool,
-    /// Conflict (no-good) cuts: when a node whose branching path consists
-    /// entirely of binary fixings proves LP-infeasible, a globally valid
-    /// no-good clause over that fixing set is appended to the worker's LP,
-    /// fathoming every other node that repeats the assignment. Serial-only
-    /// (appended rows are worker-local), like in-tree cover cuts.
-    pub conflict_cuts: bool,
     /// Candidate column permutations of the model (each a full-length map
     /// `j ↦ σ(j)` over structural columns), typically lifted from mesh
     /// automorphisms by the encoding layer. Every candidate is verified
@@ -230,7 +219,6 @@ impl Default for SolverOptions {
             infinite_bound: 1e9,
             branch_rule: BranchRule::default(),
             node_order: NodeOrder::default(),
-            rounding_heuristic: true,
             refactor_interval: 128,
             basis_kernel: BasisKernel::default(),
             pricing: Pricing::default(),
@@ -244,9 +232,7 @@ impl Default for SolverOptions {
             max_cut_rounds: 10,
             cut_node_interval: 0,
             heuristics: true,
-            heuristic_node_limit: 200,
             propagation: true,
-            conflict_cuts: true,
             symmetry_candidates: Arc::new(Vec::new()),
             symmetry_breaking: true,
             orbital_fixing: true,
@@ -300,13 +286,6 @@ impl SolverOptions {
     /// Enables or disables presolve, builder-style.
     pub fn presolve(mut self, on: bool) -> Self {
         self.presolve = on;
-        self
-    }
-
-    /// Enables or disables the LP-rounding incumbent heuristic,
-    /// builder-style.
-    pub fn rounding_heuristic(mut self, on: bool) -> Self {
-        self.rounding_heuristic = on;
         self
     }
 
@@ -412,27 +391,15 @@ impl SolverOptions {
         self
     }
 
-    /// Enables or disables the root primal heuristics, builder-style.
+    /// Enables or disables the root dive, builder-style.
     pub fn heuristics(mut self, on: bool) -> Self {
         self.heuristics = on;
-        self
-    }
-
-    /// Sets the node budget of the heuristic RENS sub-MILP, builder-style.
-    pub fn heuristic_node_limit(mut self, nodes: usize) -> Self {
-        self.heuristic_node_limit = nodes;
         self
     }
 
     /// Enables or disables node-level bound propagation, builder-style.
     pub fn propagation(mut self, on: bool) -> Self {
         self.propagation = on;
-        self
-    }
-
-    /// Enables or disables conflict (no-good) cuts, builder-style.
-    pub fn conflict_cuts(mut self, on: bool) -> Self {
-        self.conflict_cuts = on;
         self
     }
 
@@ -523,11 +490,9 @@ mod tests {
     #[test]
     fn accelerators_default_on() {
         let o = SolverOptions::default();
-        assert!(o.heuristics && o.propagation && o.conflict_cuts);
-        assert!(o.heuristic_node_limit > 0);
-        let o = o.heuristics(false).propagation(false).conflict_cuts(false).heuristic_node_limit(7);
-        assert!(!o.heuristics && !o.propagation && !o.conflict_cuts);
-        assert_eq!(o.heuristic_node_limit, 7);
+        assert!(o.heuristics && o.propagation);
+        let o = o.heuristics(false).propagation(false);
+        assert!(!o.heuristics && !o.propagation);
     }
 
     #[test]

@@ -411,8 +411,8 @@ pub(crate) fn search(
         refactorizations: per_worker.iter().map(|w| w.refactorizations).sum(),
         warm_starts: per_worker.iter().map(|w| w.warm_starts).sum(),
         cold_starts: per_worker.iter().map(|w| w.cold_starts).sum(),
-        // In-tree separation (and with it conflict analysis) is serial-only
-        // (worker-local rows would skew snapshot sharing); parallel workers
+        // In-tree separation is serial-only (worker-local rows would skew
+        // snapshot sharing); parallel workers
         // search with root cuts only.
         cuts_generated: 0,
         cuts_applied: 0,
@@ -420,8 +420,6 @@ pub(crate) fn search(
         propagated_bounds: per_worker.iter().map(|w| w.propagated_bounds).sum(),
         propagation_fathoms: per_worker.iter().map(|w| w.propagation_fathoms).sum(),
         propagation_seconds: per_worker.iter().map(|w| w.propagation_seconds).sum(),
-        conflict_cuts_generated: 0,
-        conflict_cuts_applied: 0,
         orbital_fixings: per_worker.iter().map(|w| w.orbital_fixings).sum(),
         strong_branch_probes: per_worker.iter().map(|w| w.strong_branch_probes).sum(),
     })

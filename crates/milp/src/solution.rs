@@ -85,26 +85,21 @@ pub struct SolveStats {
     /// covers, pool scoring) — disjoint from the simplex and factorization
     /// buckets, which also cover the cut-loop LP re-optimizations.
     pub separation_seconds: f64,
-    /// Seconds spent in the root primal heuristics (diving and the RENS
-    /// sub-MILP), including their LP and sub-MILP solves — disjoint from
-    /// every other bucket. `0.0` when the phase did not run, e.g. on a
+    /// Seconds spent in the root dive, including its LP solves — disjoint
+    /// from every other bucket. `0.0` when the phase did not run, e.g. on a
     /// resumed re-solve whose carried bound proves its warm start.
     pub heuristic_seconds: f64,
     /// Seconds spent in node-level bound propagation (interval-activity
     /// analysis and bound edits; the node LP re-solve is not included) —
     /// disjoint from every other bucket.
     pub propagation_seconds: f64,
-    /// Improving incumbents contributed by the root primal heuristics
-    /// before the tree search started.
+    /// Improving incumbents contributed by the root dive before the tree
+    /// search started.
     pub heuristic_incumbents: u64,
     /// Individual variable bounds tightened by node propagation.
     pub propagated_bounds: u64,
     /// Nodes fathomed by propagation (empty box) without an LP solve.
     pub propagation_fathoms: u64,
-    /// Conflict (no-good) cuts derived from infeasible nodes.
-    pub conflict_cuts_generated: u64,
-    /// Conflict cuts accepted by the pool and appended to a worker LP.
-    pub conflict_cuts_applied: u64,
     /// Nontrivial integer-column orbits of the verified symmetry group
     /// (0 when no candidates were supplied or none verified).
     pub symmetry_orbits: u64,

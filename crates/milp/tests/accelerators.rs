@@ -1,13 +1,13 @@
 //! Safety of the branch-and-bound accelerators, cross-checked against
 //! exhaustive enumeration.
 //!
-//! Primal heuristics, node propagation and conflict cuts may change *how*
-//! the tree is searched — never the answer. Each proptest below isolates
-//! one accelerator (the others off) and requires exact agreement with the
+//! The root dive and node propagation may change *how* the tree is
+//! searched — never the answer. Each proptest below isolates one
+//! accelerator (the other off) and requires exact agreement with the
 //! brute-force optimum on random binary MILPs, plus feasibility of every
 //! returned incumbent; the all-on configuration is checked too, because
-//! the features interact (heuristic incumbents prune, propagation feeds
-//! conflict analysis).
+//! the features interact (heuristic incumbents prune, propagation fathoms
+//! the subtrees they leave).
 
 mod common;
 
@@ -53,23 +53,8 @@ proptest! {
             .threads(1)
             .cuts(false)
             .heuristics(false)
-            .conflict_cuts(false)
             .propagation(true);
         check_against_enumeration(&milp, &opts, "propagation-only")?;
-    }
-
-    /// Conflict cuts in isolation: a no-good that cut off an integer-
-    /// feasible point would corrupt the search globally (the cuts live in
-    /// the worker LP for the rest of the solve).
-    #[test]
-    fn conflict_cuts_preserve_the_enumerated_optimum(milp in random_milp()) {
-        let opts = SolverOptions::default()
-            .threads(1)
-            .cuts(false)
-            .heuristics(false)
-            .propagation(false)
-            .conflict_cuts(true);
-        check_against_enumeration(&milp, &opts, "conflicts-only")?;
     }
 
     /// Heuristics in isolation: a heuristic incumbent that failed validation
@@ -81,7 +66,6 @@ proptest! {
             .threads(1)
             .cuts(false)
             .propagation(false)
-            .conflict_cuts(false)
             .heuristics(true);
         check_against_enumeration(&milp, &opts, "heuristics-only")?;
     }
@@ -130,7 +114,6 @@ fn repeated_heuristic_solves_agree_bitwise() {
     assert_eq!(a.node_count(), b.node_count());
     assert_eq!(a.stats().heuristic_incumbents, b.stats().heuristic_incumbents);
     assert_eq!(a.stats().propagated_bounds, b.stats().propagated_bounds);
-    assert_eq!(a.stats().conflict_cuts_applied, b.stats().conflict_cuts_applied);
     let av: Vec<u64> = a.values().iter().map(|v| v.to_bits()).collect();
     let bv: Vec<u64> = b.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(av, bv, "incumbent points diverged between identical runs");

@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Mid-mission, the busiest core fails permanently. The session absorbs
     // the fault as a model edit and re-deploys under a wall-clock budget
     // (the exact model is large at this mesh size, so give the root LP and
-    // its diving heuristics a couple of minutes).
+    // the root dive a couple of minutes).
     let report = deployment.energy_report(problem);
     let per_proc = report.per_processor_mj().to_vec();
     let (hot, hot_mj) = per_proc

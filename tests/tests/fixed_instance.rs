@@ -144,13 +144,13 @@ fn cuts_preserve_the_optimum_and_do_not_grow_the_tree() {
 }
 
 /// Accelerator ablation on the bench-sized exact arm: disabling any single
-/// accelerator (heuristics, propagation, conflict cuts) must leave the
+/// accelerator (the root dive, propagation) must leave the
 /// proven optimum untouched, and the all-on configuration must not explore
 /// a larger tree than the all-off one.
 #[test]
 fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
-    // A different seed than the cuts test: this sub-instance gives all
-    // three accelerators observable work (heuristic incumbents and
+    // A different seed than the cuts test: this sub-instance gives both
+    // accelerators observable work (heuristic incumbents and
     // propagation fixings) under a deterministic serial search.
     const ABLATION_SEED: u64 = 21;
     let cfg = GeneratorConfig::typical(3);
@@ -164,7 +164,7 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
     )
     .unwrap();
 
-    let solve = |heuristics: bool, propagation: bool, conflicts: bool| {
+    let solve = |heuristics: bool, propagation: bool| {
         let cfg = OptimalConfig {
             // No external heuristic seed: the solver's own accelerators are
             // the variable under test.
@@ -173,22 +173,20 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
                 .threads(1)
                 .time_limit(30.0)
                 .heuristics(heuristics)
-                .propagation(propagation)
-                .conflict_cuts(conflicts),
+                .propagation(propagation),
             ..OptimalConfig::default()
         };
         exact_presolved(&p, cfg)
     };
 
-    let all_on = solve(true, true, true);
+    let all_on = solve(true, true);
     assert_eq!(all_on.status, SolveStatus::Optimal, "all-on must prove optimality");
     let reference = all_on.objective_mj.expect("all-on optimum");
 
     let arms = [
-        ("all-off", solve(false, false, false)),
-        ("no-heuristics", solve(false, true, true)),
-        ("no-propagation", solve(true, false, true)),
-        ("no-conflicts", solve(true, true, false)),
+        ("all-off", solve(false, false)),
+        ("no-heuristics", solve(false, true)),
+        ("no-propagation", solve(true, false)),
     ];
     for (name, out) in &arms {
         assert_eq!(out.status, SolveStatus::Optimal, "{name} must prove optimality");
