@@ -91,6 +91,8 @@ struct KernelRun {
     status: String,
     nodes: u64,
     iters: u64,
+    refactorizations: u64,
+    factor_seconds: f64,
     seconds: f64,
     warm_starts: u64,
     cold_starts: u64,
@@ -155,6 +157,8 @@ fn run(
         status: format!("{:?}", sol.status()),
         nodes: sol.node_count(),
         iters: sol.simplex_iterations(),
+        refactorizations: sol.stats().refactorizations,
+        factor_seconds: sol.stats().factor_seconds,
         seconds: t0.elapsed().as_secs_f64(),
         warm_starts: sol.stats().warm_starts,
         cold_starts: sol.stats().cold_starts,
@@ -203,6 +207,8 @@ fn record(
         status: r.status.clone(),
         nodes: r.nodes,
         pivots: r.iters,
+        refactorizations: Some(r.refactorizations),
+        factor_seconds: Some(r.factor_seconds),
         warm_starts: r.warm_starts,
         cold_starts: r.cold_starts,
         cuts_applied: r.cuts_applied,
@@ -220,15 +226,33 @@ fn record(
     }
 }
 
+/// Prints the column header of [`print_row`]'s table; `label` heads the
+/// first column.
+fn print_header(label: &str) {
+    println!(
+        "{label:<18} {:>2} {:>5}  {:<10} {:>6}  {:>13}  {:>7}  {:>7}  {:>8}  {:>9}  warm/cold",
+        "M",
+        "seed",
+        "status",
+        "nodes",
+        "simplex_iters",
+        "seconds",
+        "nodes/s",
+        "pivots/s",
+        "refactors"
+    );
+}
+
 fn print_row(name: &str, tasks: usize, s: u64, r: &KernelRun) {
     println!(
-        "{name:<18} {tasks:>2} {s:>5}  {:<10} {:>6}  {:>13}  {:>7.2}  {:>7.0}  {:>8.0}  {:>4}/{:<4}",
+        "{name:<18} {tasks:>2} {s:>5}  {:<10} {:>6}  {:>13}  {:>7.2}  {:>7.0}  {:>8.0}  {:>9}  {:>4}/{:<4}",
         r.status,
         r.nodes,
         r.iters,
         r.seconds,
         r.nodes as f64 / r.seconds.max(1e-9),
         r.iters as f64 / r.seconds.max(1e-9),
+        r.refactorizations,
         r.warm_starts,
         r.cold_starts,
     );
@@ -249,9 +273,7 @@ fn ablation(
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
-    println!(
-        "config              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
-    );
+    print_header("config");
     let mut ok = true;
     let mut objective: Option<f64> = None;
     for kernel in [BasisKernel::SparseLu, BasisKernel::Dense] {
@@ -324,9 +346,7 @@ fn cuts_ablation(
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
-    println!(
-        "config              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
-    );
+    print_header("config");
     let mut ok = true;
     let kernel = BasisKernel::SparseLu;
     let pricing = Pricing::SteepestEdge;
@@ -386,9 +406,7 @@ fn heuristics_ablation(
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
-    println!(
-        "config              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
-    );
+    print_header("config");
     let mut ok = true;
     let kernel = BasisKernel::SparseLu;
     let pricing = Pricing::SteepestEdge;
@@ -496,9 +514,7 @@ fn symmetry_ablation(
     trace: bool,
     records: &mut Vec<BenchRecord>,
 ) -> bool {
-    println!(
-        "config              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
-    );
+    print_header("config");
     let mut ok = true;
     let kernel = BasisKernel::SparseLu;
     let pricing = Pricing::SteepestEdge;
@@ -679,9 +695,7 @@ fn main() {
     } else if grid {
         failed = !ablation(tasks, seconds, seed, order, cuts, accel, search, trace, &mut records);
     } else {
-        println!(
-            "kernel              M  seed  status      nodes  simplex_iters  seconds  nodes/s  pivots/s  warm/cold"
-        );
+        print_header("kernel");
         let mut ratio_sum = 0.0;
         for k in 0..instances {
             let s = seed + k as u64;

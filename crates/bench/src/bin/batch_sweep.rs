@@ -91,6 +91,8 @@ fn sweep_record(
         status: "Sweep".into(),
         nodes: 0,
         pivots: 0,
+        refactorizations: None,
+        factor_seconds: None,
         warm_starts: 0,
         cold_starts: 0,
         cuts_applied: 0,

@@ -186,6 +186,8 @@ fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
         status: format!("{:?}", out.status),
         nodes: out.nodes,
         pivots: out.stats.simplex_iterations,
+        refactorizations: Some(out.stats.refactorizations),
+        factor_seconds: Some(out.stats.factor_seconds),
         warm_starts: out.stats.warm_starts,
         cold_starts: out.stats.cold_starts,
         cuts_applied: out.stats.cuts_applied,

@@ -53,6 +53,8 @@ fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize
         status: status.into(),
         nodes,
         pivots: 0,
+        refactorizations: None,
+        factor_seconds: None,
         warm_starts: 0,
         cold_starts: 0,
         cuts_applied: 0,

@@ -376,6 +376,13 @@ pub struct BenchRecord {
     pub nodes: u64,
     /// Total simplex pivots.
     pub pivots: u64,
+    /// Basis refactorizations (`SolveStats::refactorizations`). `None`
+    /// (serialized as `null`) where the binary has no solver statistics,
+    /// such as server-phase and sweep-level records.
+    pub refactorizations: Option<u64>,
+    /// Seconds spent factorizing bases (`SolveStats::factor_seconds`);
+    /// `None` (`null`) wherever `refactorizations` is.
+    pub factor_seconds: Option<f64>,
     /// Node LPs started from a parent basis.
     pub warm_starts: u64,
     /// Node LPs started from the slack basis.
@@ -437,7 +444,8 @@ impl BenchRecord {
                 "\"node_order\":\"{}\",",
                 "\"warm_start\":{},\"cuts\":{},\"heuristics\":{},\"propagation\":{},",
                 "\"threads\":{},\"status\":\"{}\",\"nodes\":{},",
-                "\"pivots\":{},\"warm_starts\":{},\"cold_starts\":{},\"cuts_applied\":{},",
+                "\"pivots\":{},\"refactorizations\":{},\"factor_seconds\":{},",
+                "\"warm_starts\":{},\"cold_starts\":{},\"cuts_applied\":{},",
                 "\"heuristic_incumbents\":{},\"propagated_bounds\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
                 "\"batch\":{},\"portfolio\":{},\"sweep_wall_seconds\":{},",
@@ -455,6 +463,8 @@ impl BenchRecord {
             self.status,
             self.nodes,
             self.pivots,
+            self.refactorizations.map_or_else(|| "null".to_string(), |n| n.to_string()),
+            self.factor_seconds.map_or_else(|| "null".to_string(), json_f64),
             self.warm_starts,
             self.cold_starts,
             self.cuts_applied,
@@ -614,6 +624,8 @@ mod tests {
             status: "Optimal".into(),
             nodes: 12,
             pivots: 345,
+            refactorizations: Some(21),
+            factor_seconds: Some(0.125),
             warm_starts: 11,
             cold_starts: 1,
             cuts_applied: 7,
@@ -641,6 +653,8 @@ mod tests {
             "\"propagation\":true",
             "\"nodes\":12",
             "\"pivots\":345",
+            "\"refactorizations\":21",
+            "\"factor_seconds\":0.125000",
             "\"warm_starts\":11",
             "\"cold_starts\":1",
             "\"cuts_applied\":7",
@@ -676,6 +690,8 @@ mod tests {
             status: "Unknown".into(),
             nodes: 3,
             pivots: 9,
+            refactorizations: None,
+            factor_seconds: None,
             warm_starts: 0,
             cold_starts: 3,
             cuts_applied: 0,
@@ -697,6 +713,8 @@ mod tests {
         assert!(j.contains("\"sweep_wall_seconds\":null"), "{j}");
         assert!(j.contains("\"branch_rule\":null"), "{j}");
         assert!(j.contains("\"symmetry\":null"), "{j}");
+        assert!(j.contains("\"refactorizations\":null"), "{j}");
+        assert!(j.contains("\"factor_seconds\":null"), "{j}");
         assert!(!j.contains("inf") && !j.contains("NaN"), "{j}");
     }
 
@@ -714,6 +732,8 @@ mod tests {
             status: "Optimal".into(),
             nodes: 1,
             pivots: 2,
+            refactorizations: Some(1),
+            factor_seconds: Some(0.0),
             warm_starts: 0,
             cold_starts: 1,
             cuts_applied: 0,

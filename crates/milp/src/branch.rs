@@ -22,7 +22,7 @@ use crate::model::{Model, VarKind};
 use crate::options::{BranchRule, NodeOrder, SolverOptions};
 use crate::parallel;
 use crate::presolve::{presolve, Presolved};
-use crate::simplex::{BasisSnapshot, LpStatus, Simplex};
+use crate::simplex::{BasisSnapshot, LpCheckpoint, LpStatus, Simplex};
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use crate::standard::StandardForm;
 use std::sync::Arc;
@@ -189,6 +189,9 @@ pub(crate) struct NodeWorker<'a> {
     pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs this worker solved (reliability rule).
     pub(crate) strong_branch_probes: u64,
+    /// The probing node's re-seated LP state, captured once per probe pass
+    /// so later re-seats copy it instead of refactorizing.
+    probe_checkpoint: LpCheckpoint,
 }
 
 /// Outcome of a reliability strong-branching pass at one node.
@@ -293,6 +296,7 @@ impl<'a> NodeWorker<'a> {
             symmetry: None,
             orbital_fixings: 0,
             strong_branch_probes: 0,
+            probe_checkpoint: LpCheckpoint::default(),
         }
     }
 
@@ -810,6 +814,8 @@ impl<'a> NodeWorker<'a> {
 
         let node_obj = self.lp.objective();
         let snap = self.lp.snapshot();
+        // Set once the node state has been restored and checkpointed.
+        let mut seated = false;
         let mut outcome = ProbeResult::Done;
         let mut fatal: Option<MilpError> = None;
         'cands: for &(j, v) in &cands {
@@ -872,9 +878,10 @@ impl<'a> NodeWorker<'a> {
                 }
                 // Re-seat the node basis so the next probe warm-starts from
                 // the node optimum rather than the previous probe's basis.
-                if self.lp.restore_snapshot(&snap).is_err() {
-                    self.lp.reset_to_slack_basis();
-                    break 'cands;
+                if !self.reseat_probed_node(&snap, &mut seated) {
+                    // The LP sits on the slack basis; a second restore of
+                    // the same snapshot would fail the same way.
+                    return Ok(ProbeResult::Done);
                 }
             }
             if inf_down && inf_up {
@@ -892,13 +899,32 @@ impl<'a> NodeWorker<'a> {
         }
         // Node bounds were restored per probe; reinstall the node basis for
         // the branching snapshot (slack fallback keeps the LP usable).
-        if self.lp.restore_snapshot(&snap).is_err() {
-            self.lp.reset_to_slack_basis();
-        }
+        self.reseat_probed_node(&snap, &mut seated);
         if let Some(e) = fatal {
             return Err(e);
         }
         Ok(outcome)
+    }
+
+    /// Re-seats the probing node's LP state from its snapshot `snap` under
+    /// the node's bounds. The pass's first re-seat restores the snapshot
+    /// (one refactorization) and checkpoints the result; later ones roll
+    /// back to that checkpoint, which is the same state bit for bit because
+    /// the snapshot, the bounds and the form are unchanged while probing.
+    /// Returns `false` when the snapshot would not factorize; the LP then
+    /// sits on the slack basis.
+    fn reseat_probed_node(&mut self, snap: &BasisSnapshot, seated: &mut bool) -> bool {
+        if *seated {
+            self.lp.rollback(&self.probe_checkpoint);
+            return true;
+        }
+        if self.lp.restore_snapshot(snap).is_err() {
+            self.lp.reset_to_slack_basis();
+            return false;
+        }
+        self.lp.checkpoint_into(&mut self.probe_checkpoint);
+        *seated = true;
+        true
     }
 
     /// The post-solve half of [`NodeWorker::eval_node`]: accept an integral

@@ -39,7 +39,7 @@ const DROP_TOL: f64 = 1e-14;
 const SEARCH_COLS: usize = 4;
 
 /// A sparse LU factorization of one basis matrix.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
     /// `row_at[k]` = original row eliminated at step `k`.
@@ -54,6 +54,32 @@ pub(crate) struct LuFactors {
     u_cols: Vec<Vec<(usize, f64)>>,
     /// `U` diagonal by step.
     u_diag: Vec<f64>,
+}
+
+/// `clone_from` copies into the existing factor storage (every `L`/`U`
+/// column keeps its allocation and grows only when the source column is
+/// longer), so rolling a simplex state back to a checkpoint costs O(nnz);
+/// a derived `clone_from` would reallocate every column.
+impl Clone for LuFactors {
+    fn clone(&self) -> Self {
+        LuFactors {
+            m: self.m,
+            row_at: self.row_at.clone(),
+            col_at: self.col_at.clone(),
+            l_cols: self.l_cols.clone(),
+            u_cols: self.u_cols.clone(),
+            u_diag: self.u_diag.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.m = source.m;
+        self.row_at.clone_from(&source.row_at);
+        self.col_at.clone_from(&source.col_at);
+        self.l_cols.clone_from(&source.l_cols);
+        self.u_cols.clone_from(&source.u_cols);
+        self.u_diag.clone_from(&source.u_diag);
+    }
 }
 
 impl LuFactors {
@@ -297,17 +323,41 @@ impl LuFactors {
 
 /// One product-form update: basis position `r` was replaced by a column
 /// whose FTRAN image is `aq` (`pivot = aq[r]`, `col` the other nonzeros).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Eta {
     r: usize,
     pivot: f64,
     col: Vec<(usize, f64)>,
 }
 
+/// `clone_from` reuses `col`'s buffer, like [`LuFactors`]' does.
+impl Clone for Eta {
+    fn clone(&self) -> Self {
+        Eta { r: self.r, pivot: self.pivot, col: self.col.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.r = source.r;
+        self.pivot = source.pivot;
+        self.col.clone_from(&source.col);
+    }
+}
+
 /// The eta file: pending product-form updates on top of [`LuFactors`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct EtaFile {
     etas: Vec<Eta>,
+}
+
+/// `clone_from` copies eta by eta into the existing updates' buffers.
+impl Clone for EtaFile {
+    fn clone(&self) -> Self {
+        EtaFile { etas: self.etas.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.etas.clone_from(&source.etas);
+    }
 }
 
 impl EtaFile {
@@ -487,6 +537,32 @@ mod tests {
 
         etas.clear();
         assert_eq!(etas.len(), 0);
+    }
+
+    /// `clone_from` must copy into the target's column buffers, not
+    /// replace them: a rollback to a checkpoint then allocates nothing.
+    #[test]
+    fn clone_from_reuses_the_target_buffers() {
+        let sf = fixture();
+        let lu = LuFactors::factorize(&sf, &[0, 1, 2, 3, 4, 11]).unwrap();
+        let mut to = lu.clone();
+        let cols = |f: &LuFactors| -> Vec<*const (usize, f64)> {
+            f.l_cols.iter().chain(&f.u_cols).filter(|c| !c.is_empty()).map(|c| c.as_ptr()).collect()
+        };
+        let before = cols(&to);
+        assert!(!before.is_empty(), "fixture must have off-diagonal factor entries");
+        to.clone_from(&lu);
+        assert_eq!(cols(&to), before);
+        assert_eq!(to.u_diag, lu.u_diag);
+
+        let mut etas = EtaFile::default();
+        etas.push(0, &[2.0, 1.0, 0.0, -1.0]);
+        etas.push(3, &[0.5, 0.0, 0.0, 4.0]);
+        let mut to = etas.clone();
+        let before: Vec<_> = to.etas.iter().map(|e| e.col.as_ptr()).collect();
+        to.clone_from(&etas);
+        assert_eq!(to.etas.iter().map(|e| e.col.as_ptr()).collect::<Vec<_>>(), before);
+        assert_eq!(to.len(), 2);
     }
 
     #[test]

@@ -118,14 +118,65 @@ impl BasisSnapshot {
     }
 }
 
+/// The LP state [`Simplex::restore_snapshot`] leaves behind: basis, bound
+/// statuses, the kernel (fresh factors with an empty eta file, or the dense
+/// inverse), basic values, reduced costs and pricing weights. Captured with
+/// [`Simplex::checkpoint_into`] and reinstalled with [`Simplex::rollback`],
+/// which reproduces the captured state bit for bit — without a
+/// refactorization — as long as the bounds and the form are those of the
+/// capture. Strong-branching probes re-seat their node this way.
+///
+/// The caller owns one checkpoint and refills it in place: a capture or a
+/// rollback copies into existing buffers and allocates only to grow one.
+#[derive(Debug, Default)]
+pub(crate) struct LpCheckpoint {
+    basis: Vec<usize>,
+    stat: Vec<Stat>,
+    /// `None` until the first capture.
+    kernel: Option<Kernel>,
+    xb: Vec<f64>,
+    d: Vec<f64>,
+    weights: Vec<f64>,
+    pivots_since_refactor: usize,
+}
+
 /// The linear-algebra backend representing `B⁻¹`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Kernel {
     /// Explicit dense row-major `m × m` inverse.
     Dense { binv: Vec<f64> },
     /// Sparse LU factors plus the product-form eta file accumulated since
     /// the last refactorization.
     Lu { lu: LuFactors, etas: EtaFile, eta_limit: usize },
+}
+
+/// `clone_from` between kernels of the same kind copies into the existing
+/// buffers, so a [`Simplex::rollback`] allocates only where a live buffer
+/// is shorter than the checkpoint's.
+impl Clone for Kernel {
+    fn clone(&self) -> Self {
+        match self {
+            Kernel::Dense { binv } => Kernel::Dense { binv: binv.clone() },
+            Kernel::Lu { lu, etas, eta_limit } => {
+                Kernel::Lu { lu: lu.clone(), etas: etas.clone(), eta_limit: *eta_limit }
+            }
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Kernel::Dense { binv }, Kernel::Dense { binv: from }) => binv.clone_from(from),
+            (
+                Kernel::Lu { lu, etas, eta_limit },
+                Kernel::Lu { lu: lu_from, etas: etas_from, eta_limit: limit_from },
+            ) => {
+                lu.clone_from(lu_from);
+                etas.clone_from(etas_from);
+                *eta_limit = *limit_from;
+            }
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl Kernel {
@@ -408,7 +459,9 @@ pub(crate) struct Simplex {
     /// `‖eᵣᵀ B⁻¹‖²`. All-ones under Dantzig. Weights survive
     /// refactorizations (the basis is unchanged) but reset to the unit
     /// framework whenever the basis is *replaced* (slack reset, snapshot
-    /// restore).
+    /// restore); a [`Simplex::rollback`] reinstalls the weights of its
+    /// checkpoint, which are the unit ones when the checkpoint was taken
+    /// right after a snapshot restore.
     weights: Vec<f64>,
     /// Scratch buffers reused across pivots.
     scratch_rho: Vec<f64>,
@@ -614,6 +667,12 @@ impl Simplex {
     /// the snapshot basis is near-optimal for the child node, so the exact
     /// reference is rebuilt within a handful of pivots.
     ///
+    /// The restored state is a pure function of the snapshot, the current
+    /// bounds and the form. A caller that re-installs one snapshot several
+    /// times under unchanged bounds and form restores it once, captures the
+    /// result with [`Simplex::checkpoint_into`] and re-installs it with
+    /// [`Simplex::rollback`]: the same state, without the refactorization.
+    ///
     /// # Errors
     ///
     /// [`MilpError::SingularBasis`] when the snapshot basis cannot be
@@ -644,6 +703,36 @@ impl Simplex {
         self.recompute_xb();
         self.reset_weights();
         Ok(())
+    }
+
+    /// Copies the current LP state into `cp`, reusing its buffers.
+    pub(crate) fn checkpoint_into(&self, cp: &mut LpCheckpoint) {
+        cp.basis.clone_from(&self.basis);
+        cp.stat.clone_from(&self.stat);
+        match &mut cp.kernel {
+            Some(kernel) => kernel.clone_from(&self.kernel),
+            empty => *empty = Some(self.kernel.clone()),
+        }
+        cp.xb.clone_from(&self.xb);
+        cp.d.clone_from(&self.d);
+        cp.weights.clone_from(&self.weights);
+        cp.pivots_since_refactor = self.pivots_since_refactor;
+    }
+
+    /// Reinstalls the state captured in `cp` by copy. The caller guarantees
+    /// that the bounds and the form (no rows appended since) are those of
+    /// the capture; the state then equals the captured one bit for bit,
+    /// refactorization interval included.
+    pub(crate) fn rollback(&mut self, cp: &LpCheckpoint) {
+        debug_assert_eq!(cp.basis.len(), self.m, "checkpoint of another form");
+        debug_assert_eq!(cp.stat.len(), self.ncols, "checkpoint of another form");
+        self.basis.clone_from(&cp.basis);
+        self.stat.clone_from(&cp.stat);
+        self.kernel.clone_from(cp.kernel.as_ref().expect("rollback of an empty checkpoint"));
+        self.xb.clone_from(&cp.xb);
+        self.d.clone_from(&cp.d);
+        self.weights.clone_from(&cp.weights);
+        self.pivots_since_refactor = cp.pivots_since_refactor;
     }
 
     /// Discards the basis entirely and restarts from the dual-feasible
@@ -1341,6 +1430,104 @@ mod tests {
             assert_eq!(s2.optimize().unwrap(), LpStatus::Optimal);
             let x2 = s2.values();
             assert!(x2[0] + x2[1] >= 3.5 - 1e-6, "padded restore kept the cut row");
+        }
+    }
+
+    /// A 3 × 4 transportation LP whose optimum ships on several routes;
+    /// fixing one of them at a bound takes pivots to repair.
+    fn transport_fixture() -> StandardForm {
+        let supply = [7.0, 9.0, 6.0];
+        let demand = [5.0, 6.0, 4.0, 5.0];
+        let mut m = Model::new("transport");
+        let x: Vec<Vec<_>> = (0..3)
+            .map(|i| (0..4).map(|j| m.continuous(format!("x{i}{j}"), 0.0, 6.0).unwrap()).collect())
+            .collect();
+        for (i, &cap) in supply.iter().enumerate() {
+            let row = (0..4).fold(LinExpr::new(), |e, j| e + LinExpr::term(x[i][j], 1.0));
+            m.add_le(format!("supply{i}"), row, cap);
+        }
+        for (j, &need) in demand.iter().enumerate() {
+            let col = (0..3).fold(LinExpr::new(), |e, i| e + LinExpr::term(x[i][j], 1.0));
+            m.add_ge(format!("demand{j}"), col, need);
+        }
+        let mut obj = LinExpr::new();
+        for (i, row) in x.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                obj.add_term(v, 1.0 + ((3 * i + 5 * j) % 7) as f64);
+            }
+        }
+        m.set_objective(Objective::Minimize, obj);
+        StandardForm::from_model(&m, &SolverOptions::default())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two states are the same LP state bit for bit, including the
+    /// kernel's answers to one FTRAN and one BTRAN of a fixed vector.
+    fn assert_same_state(a: &mut Simplex, b: &mut Simplex) {
+        assert_eq!(a.basis, b.basis, "basis");
+        assert_eq!(a.stat, b.stat, "statuses");
+        assert_eq!(bits(&a.xb), bits(&b.xb), "basic values");
+        assert_eq!(bits(&a.d), bits(&b.d), "reduced costs");
+        assert_eq!(bits(&a.weights), bits(&b.weights), "pricing weights");
+        assert_eq!(a.pivots_since_refactor, b.pivots_since_refactor, "refactorization interval");
+        let v: Vec<f64> = (0..a.m).map(|r| 1.0 + r as f64 * 0.37 - (r % 3) as f64).collect();
+        for s in [&mut *a, &mut *b] {
+            s.scratch_bt.copy_from_slice(&v);
+            s.kernel.ftran(&mut s.scratch_bt, &mut s.scratch_work);
+            s.scratch_y.copy_from_slice(&v);
+            s.kernel.btran(&mut s.scratch_y, &mut s.scratch_work);
+        }
+        assert_eq!(bits(&a.scratch_bt), bits(&b.scratch_bt), "FTRAN");
+        assert_eq!(bits(&a.scratch_y), bits(&b.scratch_y), "BTRAN");
+    }
+
+    #[test]
+    fn rollback_reproduces_a_fresh_snapshot_restore_bit_for_bit() {
+        let sf = transport_fixture();
+        // An eta limit of 2 makes the probe re-optimizations outlast the eta
+        // file, so the rolled-back kernel replaces one that was rebuilt.
+        for (kernel, eta_limit) in
+            [(BasisKernel::SparseLu, 64), (BasisKernel::SparseLu, 2), (BasisKernel::Dense, 64)]
+        {
+            let opts = SolverOptions::default().basis_kernel(kernel).eta_limit(eta_limit);
+            let mut s = Simplex::new(&sf, &opts);
+            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+            let snap = s.snapshot();
+            s.restore_snapshot(&snap).unwrap();
+            let mut cp = LpCheckpoint::default();
+            s.checkpoint_into(&mut cp);
+            // Probe every basic route with a positive flow the way strong
+            // branching does: fix it at each of its bounds, re-optimize,
+            // loosen it again, re-seat.
+            let routes: Vec<usize> =
+                (0..sf.n).filter(|&j| s.stat[j] == Stat::Basic && s.value(j) > 0.5).collect();
+            assert!(routes.len() >= 2, "fixture must have several basic routes");
+            let (mut pivots, mut eta_refactors) = (0, 0);
+            for &j in &routes {
+                let (lb, ub) = (s.lb[j], s.ub[j]);
+                for fix in [lb, ub] {
+                    s.set_bounds(j, fix, fix);
+                    s.refresh();
+                    let (iters, refactors) = (s.iterations, s.refactorizations);
+                    s.optimize().unwrap();
+                    pivots += s.iterations - iters;
+                    eta_refactors += s.refactorizations - refactors;
+                    s.set_bounds(j, lb, ub);
+                    let mut fresh = s.clone();
+                    fresh.restore_snapshot(&snap).unwrap();
+                    let refactors = s.refactorizations;
+                    s.rollback(&cp);
+                    assert_eq!(s.refactorizations, refactors, "a rollback must not refactorize");
+                    assert_same_state(&mut s, &mut fresh);
+                }
+            }
+            assert!(pivots > routes.len() as u64, "probes must pivot ({pivots})");
+            if kernel == BasisKernel::SparseLu && eta_limit == 2 {
+                assert!(eta_refactors > 0, "probes must hit the eta limit");
+            }
         }
     }
 

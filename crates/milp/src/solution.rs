@@ -35,12 +35,16 @@ impl SolveStatus {
 /// Per-phase time attribution and work counters of one solve, returned with
 /// every [`Solution`] (see [`Solution::stats`]).
 ///
-/// The three measured phases are disjoint per worker thread, so for a
-/// serial solve `presolve_seconds + simplex_seconds + factor_seconds ≤
-/// total_seconds` and the remainder ([`SolveStats::other_seconds`]) is
+/// The six measured buckets — presolve, simplex, factorization, cut
+/// separation, the root heuristics and node propagation — are disjoint per
+/// worker thread, so for a serial solve their sum is at most
+/// `total_seconds` and the remainder ([`SolveStats::other_seconds`]) is
 /// model building, node bookkeeping and FTRAN/BTRAN refreshes outside the
-/// simplex loop. Under `threads ≥ 2` the per-phase times are CPU-seconds
-/// summed across workers and may exceed the wall clock.
+/// simplex loop. Strong-branching probes have no bucket of their own:
+/// their pivots count as simplex time, the one refactorizing re-seat per
+/// probe pass as factorization time and the checkpoint copies that undo
+/// the other probes as other time. Under `threads ≥ 2` the per-phase times
+/// are CPU-seconds summed across workers and may exceed the wall clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
     /// Wall-clock seconds of the whole solve.

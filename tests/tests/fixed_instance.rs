@@ -97,22 +97,47 @@ fn referee_accepts_exact_incumbent_and_heuristic_is_never_better() {
     );
 }
 
+/// The bench-sized exact-arm sub-instance: 3 tasks on a 2×2 mesh.
+fn sub_instance(seed: u64) -> ProblemInstance {
+    let graph = generate(&GeneratorConfig::typical(3), seed).unwrap();
+    ProblemInstance::from_original(
+        &graph,
+        Platform::homogeneous(4).unwrap(),
+        WeightedNoc::new(Mesh2D::square(2).unwrap(), NocParams::typical(), seed).unwrap(),
+        0.95,
+        3.0,
+    )
+    .unwrap()
+}
+
+/// Reliability branching, the exact arm's default, re-seats a probing
+/// node from a checkpoint: one refactorization per probe pass rather than
+/// one per probe, so a default solve refactorizes fewer times than it
+/// probes.
+#[test]
+fn strong_branch_probes_do_not_each_refactorize() {
+    let p = sub_instance(SEED);
+    let cfg = OptimalConfig {
+        solver: OptimalConfig::default().solver.threads(1).time_limit(30.0),
+        ..OptimalConfig::default()
+    };
+    let out = exact(&p, cfg);
+    assert_eq!(out.status, SolveStatus::Optimal, "the default exact arm must prove optimality");
+    let (probes, refactorizations) = (out.stats.strong_branch_probes, out.stats.refactorizations);
+    assert!(probes > 0, "reliability branching must probe on this instance");
+    assert!(
+        refactorizations < probes,
+        "{refactorizations} refactorizations for {probes} strong-branch probes"
+    );
+}
+
 /// Cutting planes on a fixed exact-arm instance: same proven optimum, no
 /// larger a tree. The bench-sized sub-instance (3 tasks on a 2×2 mesh)
 /// keeps both arms provably optimal inside a test budget so the node
 /// counts are comparable.
 #[test]
 fn cuts_preserve_the_optimum_and_do_not_grow_the_tree() {
-    let cfg = GeneratorConfig::typical(3);
-    let graph = generate(&cfg, SEED).unwrap();
-    let p = ProblemInstance::from_original(
-        &graph,
-        Platform::homogeneous(4).unwrap(),
-        WeightedNoc::new(Mesh2D::square(2).unwrap(), NocParams::typical(), SEED).unwrap(),
-        0.95,
-        3.0,
-    )
-    .unwrap();
+    let p = sub_instance(SEED);
 
     let solve = |cuts: bool| {
         let cfg = OptimalConfig {
@@ -153,16 +178,7 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
     // accelerators observable work (heuristic incumbents and
     // propagation fixings) under a deterministic serial search.
     const ABLATION_SEED: u64 = 21;
-    let cfg = GeneratorConfig::typical(3);
-    let graph = generate(&cfg, ABLATION_SEED).unwrap();
-    let p = ProblemInstance::from_original(
-        &graph,
-        Platform::homogeneous(4).unwrap(),
-        WeightedNoc::new(Mesh2D::square(2).unwrap(), NocParams::typical(), ABLATION_SEED).unwrap(),
-        0.95,
-        3.0,
-    )
-    .unwrap();
+    let p = sub_instance(ABLATION_SEED);
 
     let solve = |heuristics: bool, propagation: bool| {
         let cfg = OptimalConfig {
