@@ -1,7 +1,7 @@
 //! Deployment solutions and their energy accounting.
 
 use crate::problem::ProblemInstance;
-use ndp_noc::{NodeId, PathKind};
+use ndp_noc::PathKind;
 use ndp_platform::{LevelId, ProcessorId};
 use ndp_taskset::TaskId;
 use serde::{Deserialize, Serialize};
@@ -178,6 +178,11 @@ pub(crate) fn cross_transfers<'a>(
 
 /// Adds each transfer's per-processor energy under `paths` to `comm`, in
 /// the order given (zero entries of `e_{βγkρ}` are skipped).
+///
+/// Only the routers on a transfer's path have a non-zero `e_{βγkρ}`, and a
+/// shortest path visits each once, so walking the path gives every
+/// processor the same additions, in the same transfer order, as a loop
+/// over all `N`.
 pub(crate) fn add_comm_energy(
     problem: &ProblemInstance,
     paths: &PathChoice,
@@ -187,10 +192,10 @@ pub(crate) fn add_comm_energy(
     for (beta, gamma, data) in transfers {
         let rho = paths.kind(beta, gamma);
         let (nb, ng) = (problem.node_of(beta), problem.node_of(gamma));
-        for (k, c) in comm.iter_mut().enumerate() {
-            let e = problem.comm.energy_at_mj(nb, ng, NodeId(k), rho);
+        for &k in problem.comm.path(nb, ng, rho).nodes() {
+            let e = problem.comm.energy_at_mj(nb, ng, k, rho);
             if e != 0.0 {
-                *c += data * e;
+                comm[k.index()] += data * e;
             }
         }
     }

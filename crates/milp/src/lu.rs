@@ -322,74 +322,71 @@ impl LuFactors {
 }
 
 /// One product-form update: basis position `r` was replaced by a column
-/// whose FTRAN image is `aq` (`pivot = aq[r]`, `col` the other nonzeros).
-#[derive(Debug)]
-struct Eta {
+/// whose FTRAN image `aq` has the pivot `aq[r]`; its other nonzeros are
+/// `entries[start..end]` in the [`EtaFile`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EtaHead {
     r: usize,
     pivot: f64,
-    col: Vec<(usize, f64)>,
-}
-
-/// `clone_from` reuses `col`'s buffer, like [`LuFactors`]' does.
-impl Clone for Eta {
-    fn clone(&self) -> Self {
-        Eta { r: self.r, pivot: self.pivot, col: self.col.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.r = source.r;
-        self.pivot = source.pivot;
-        self.col.clone_from(&source.col);
-    }
+    start: usize,
+    end: usize,
 }
 
 /// The eta file: pending product-form updates on top of [`LuFactors`].
+///
+/// The updates live in two flat buffers: one head per update, and every
+/// update's other nonzeros back to back. So once they have grown a pivot
+/// allocates nothing: `clear` keeps their capacity, and `clone_from`
+/// copies into them.
 #[derive(Debug, Default)]
 pub(crate) struct EtaFile {
-    etas: Vec<Eta>,
+    heads: Vec<EtaHead>,
+    entries: Vec<(usize, f64)>,
 }
 
-/// `clone_from` copies eta by eta into the existing updates' buffers.
 impl Clone for EtaFile {
     fn clone(&self) -> Self {
-        EtaFile { etas: self.etas.clone() }
+        EtaFile { heads: self.heads.clone(), entries: self.entries.clone() }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.etas.clone_from(&source.etas);
+        self.heads.clone_from(&source.heads);
+        self.entries.clone_from(&source.entries);
     }
 }
 
 impl EtaFile {
     /// Number of pending updates.
     pub fn len(&self) -> usize {
-        self.etas.len()
+        self.heads.len()
     }
 
     /// Drops all pending updates (after a refactorization).
     pub fn clear(&mut self) {
-        self.etas.clear();
+        self.heads.clear();
+        self.entries.clear();
     }
 
     /// Records the basis exchange at position `r`; `aq` is the FTRAN'd
     /// entering column (so `aq[r]` is the pivot element).
     pub fn push(&mut self, r: usize, aq: &[f64]) {
-        let col: Vec<(usize, f64)> = aq
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v.abs() >= DROP_TOL)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { r, pivot: aq[r], col });
+        let start = self.entries.len();
+        self.entries.extend(
+            aq.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && v.abs() >= DROP_TOL)
+                .map(|(i, &v)| (i, v)),
+        );
+        self.heads.push(EtaHead { r, pivot: aq[r], start, end: self.entries.len() });
     }
 
     /// Applies `E_1⁻¹ … E_k⁻¹` left-to-right to an FTRAN result (position
     /// space): completes `x = E_k⁻¹…E_1⁻¹ B₀⁻¹ v`.
     pub fn apply_ftran(&self, x: &mut [f64]) {
-        for e in &self.etas {
+        for e in &self.heads {
             let xr = x[e.r] / e.pivot;
             if xr != 0.0 {
-                for &(i, v) in &e.col {
+                for &(i, v) in &self.entries[e.start..e.end] {
                     x[i] -= v * xr;
                 }
             }
@@ -401,9 +398,9 @@ impl EtaFile {
     /// *before* the factor solve: `Bᵀy = c` with `B = B₀E_1…E_k` becomes
     /// `B₀ᵀ y = E_1⁻ᵀ(…(E_k⁻ᵀ c))`.
     pub fn apply_btran_rhs(&self, c: &mut [f64]) {
-        for e in self.etas.iter().rev() {
+        for e in self.heads.iter().rev() {
             let mut s = c[e.r];
-            for &(i, v) in &e.col {
+            for &(i, v) in &self.entries[e.start..e.end] {
                 s -= v * c[i];
             }
             c[e.r] = s / e.pivot;
@@ -559,10 +556,40 @@ mod tests {
         etas.push(0, &[2.0, 1.0, 0.0, -1.0]);
         etas.push(3, &[0.5, 0.0, 0.0, 4.0]);
         let mut to = etas.clone();
-        let before: Vec<_> = to.etas.iter().map(|e| e.col.as_ptr()).collect();
+        let buffers = |e: &EtaFile| (e.heads.as_ptr(), e.entries.as_ptr());
+        let before = buffers(&to);
         to.clone_from(&etas);
-        assert_eq!(to.etas.iter().map(|e| e.col.as_ptr()).collect::<Vec<_>>(), before);
-        assert_eq!(to.len(), 2);
+        assert_eq!(buffers(&to), before);
+        assert_eq!((&to.heads, &to.entries), (&etas.heads, &etas.entries));
+        // A shorter source also copies in place.
+        let mut one = EtaFile::default();
+        one.push(1, &[0.0, 3.0, 0.0, 0.0]);
+        to.clone_from(&one);
+        assert_eq!(buffers(&to), before);
+        assert_eq!(to.len(), 1);
+        assert_eq!((&to.heads, &to.entries), (&one.heads, &one.entries));
+    }
+
+    /// `clear` keeps the buffers: pushing the same updates again after a
+    /// refactorization allocates nothing.
+    #[test]
+    fn cleared_eta_file_pushes_into_its_buffers() {
+        let push_two = |etas: &mut EtaFile| {
+            etas.push(0, &[2.0, 1.0, 0.0, -1.0]);
+            etas.push(3, &[0.5, 0.0, 0.0, 4.0]);
+        };
+        let mut etas = EtaFile::default();
+        push_two(&mut etas);
+        assert_eq!(etas.entries, [(1, 1.0), (3, -1.0), (0, 0.5)]);
+        let first = etas.heads.clone();
+        let (ptr, capacity) = (etas.entries.as_ptr(), etas.entries.capacity());
+        etas.clear();
+        assert_eq!(etas.len(), 0);
+        push_two(&mut etas);
+        assert_eq!((etas.entries.as_ptr(), etas.entries.capacity()), (ptr, capacity));
+        assert_eq!(etas.heads, first);
+        let updates: Vec<_> = etas.heads.iter().map(|e| (e.r, e.pivot, e.start, e.end)).collect();
+        assert_eq!(updates, [(0, 2.0, 0, 2), (3, 4.0, 2, 3)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::mesh::NodeId;
 use crate::params::WeightedNoc;
-use crate::routing::{shortest_path, Path, PathKind};
+use crate::routing::{Path, PathKind, ShortestPathTree};
 use serde::{Deserialize, Serialize};
 
 /// Precomputed per-pair path tables and cost tensors.
@@ -35,29 +35,91 @@ pub struct CommMatrices {
     energy: Vec<f64>,
     /// `paths[β·n·2 + γ·2 + ρ]`
     paths: Vec<Path>,
+    /// `max_{β≠γ} e_{βγkρ}` at `[k·2 + ρ]`.
+    max_energy: Vec<f64>,
+    /// `min_{β≠γ} e_{βγkρ}` at `[k·2 + ρ]`.
+    min_energy: Vec<f64>,
 }
 
 impl CommMatrices {
     /// Precomputes both path options for every ordered pair.
+    ///
+    /// One full Dijkstra per source and `ρ` (2N searches) yields every path
+    /// from that source, each equal to
+    /// [`shortest_path`](crate::shortest_path)`(β, γ, ρ)` bit for bit: the
+    /// tree is the same search run past its early exit, which changes no
+    /// settled node's predecessor (`routing.rs` has the argument).
+    ///
+    /// `e_{βγkρ}` is zero off the path, so each pair writes only its own
+    /// routers' entries: O(N²·hops) work on top of zeroing the N³ tensor,
+    /// against O(N³·hops) for one entry per processor. A shortest path
+    /// visits each router once, so each entry comes from the same two
+    /// additions as [`Path::energy_at_mj`], and `t_{βγρ}` from the same sum
+    /// as [`Path::time_ms`].
+    ///
+    /// The per-processor extremes are folded here, once, from the same
+    /// entries. No entry is NaN or −0: each is `+0` or `0.0` plus
+    /// non-negative costs. So `f64::max` and `f64::min` give the same bits
+    /// in any fold order, and each pair whose path misses `k` adds only its
+    /// zero, which is counted instead of read.
     pub fn build(noc: &WeightedNoc) -> Self {
         let n = noc.mesh().num_nodes();
+        let mesh = MeshTables::new(noc);
+        let (router_time, router_energy) = (noc.router_time_ms(), noc.router_energy_mj());
         let mut time = vec![0.0; n * n * 2];
         let mut energy = vec![0.0; n * n * n * 2];
         let mut paths = Vec::with_capacity(n * n * 2);
+        let mut max_energy = vec![f64::MIN; n * 2];
+        let mut min_energy = vec![f64::MAX; n * 2];
+        let mut on_paths = vec![0; n * 2];
+        let mut trees: [ShortestPathTree; 2] = Default::default();
         for b in 0..n {
+            // `shortest_path`'s hop weights: the link plus the next router.
+            let [by_energy, by_time] = &mut trees;
+            by_energy.grow(&mesh.neighbors, NodeId(b), |u, v| {
+                mesh.link_energy[u * n + v] + router_energy
+            });
+            by_time
+                .grow(&mesh.neighbors, NodeId(b), |u, v| mesh.link_time[u * n + v] + router_time);
             for g in 0..n {
-                for kind in PathKind::ALL {
-                    let p = shortest_path(noc, NodeId(b), NodeId(g), kind);
+                let pair = b * n + g;
+                for (tree, kind) in trees.iter().zip(PathKind::ALL) {
+                    let p = tree.path_to(NodeId(g));
                     let rho = kind.index();
-                    time[(b * n + g) * 2 + rho] = p.time_ms(noc);
-                    for k in 0..n {
-                        energy[((b * n + g) * n + k) * 2 + rho] = p.energy_at_mj(noc, NodeId(k));
+                    let nodes = p.nodes();
+                    if nodes.len() > 1 {
+                        let links: f64 = nodes
+                            .windows(2)
+                            .map(|w| mesh.link_time[w[0].index() * n + w[1].index()])
+                            .sum();
+                        time[pair * 2 + rho] = links + nodes.len() as f64 * router_time;
+                        for (i, &k) in nodes.iter().enumerate() {
+                            // The router, then the outgoing link.
+                            let mut e = 0.0;
+                            e += router_energy;
+                            if let Some(&next) = nodes.get(i + 1) {
+                                e += mesh.link_energy[k.index() * n + next.index()];
+                            }
+                            energy[(pair * n + k.index()) * 2 + rho] = e;
+                            let at = k.index() * 2 + rho;
+                            max_energy[at] = max_energy[at].max(e);
+                            min_energy[at] = min_energy[at].min(e);
+                            on_paths[at] += 1;
+                        }
                     }
                     paths.push(p);
                 }
             }
         }
-        CommMatrices { n, time, energy, paths }
+        for (at, &on) in on_paths.iter().enumerate() {
+            // A 1-node mesh has no pair at all: the extremes read 0, as in
+            // `fold_time`.
+            if on == 0 || on < n * (n - 1) {
+                max_energy[at] = max_energy[at].max(0.0);
+                min_energy[at] = min_energy[at].min(0.0);
+            }
+        }
+        CommMatrices { n, time, energy, paths, max_energy, min_energy }
     }
 
     /// Number of processors `N`.
@@ -137,39 +199,21 @@ impl CommMatrices {
     }
 
     /// `max_{β≠γ} e_{βγkρ}` for a fixed processor `k` and path kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
     pub fn max_energy_at_mj(&self, k: NodeId, rho: PathKind) -> f64 {
-        self.fold_energy_at(k, rho, f64::MIN, f64::max)
+        self.max_energy[k.index() * 2 + rho.index()]
     }
 
     /// `min_{β≠γ} e_{βγkρ}` for a fixed processor `k` and path kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
     pub fn min_energy_at_mj(&self, k: NodeId, rho: PathKind) -> f64 {
-        self.fold_energy_at(k, rho, f64::MAX, f64::min)
-    }
-
-    fn fold_energy_at(
-        &self,
-        k: NodeId,
-        rho: PathKind,
-        init: f64,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> f64 {
-        let mut acc = init;
-        let mut any = false;
-        for b in 0..self.n {
-            for g in 0..self.n {
-                if b == g {
-                    continue;
-                }
-                acc = f(acc, self.energy_at_mj(NodeId(b), NodeId(g), k, rho));
-                any = true;
-            }
-        }
-        // See `fold_time`: no off-diagonal pair ⇒ zero, not a sentinel.
-        if any {
-            acc
-        } else {
-            0.0
-        }
+        self.min_energy[k.index() * 2 + rho.index()]
     }
 
     /// `max_{β,γ,k,ρ} e_{βγkρ}` — the paper's `e_k^comm` numerator for the
@@ -180,6 +224,32 @@ impl CommMatrices {
             acc = acc.max(e);
         }
         acc
+    }
+}
+
+/// The mesh as the searches read it: each node's neighbours in
+/// [`Mesh2D::neighbors`](crate::Mesh2D::neighbors) order, and the per-unit
+/// link costs at `[from·n + to]` (zero between non-adjacent nodes), read
+/// through [`WeightedNoc`] once per link instead of once per use.
+struct MeshTables {
+    neighbors: Vec<Vec<NodeId>>,
+    link_time: Vec<f64>,
+    link_energy: Vec<f64>,
+}
+
+impl MeshTables {
+    fn new(noc: &WeightedNoc) -> Self {
+        let mesh = noc.mesh();
+        let n = mesh.num_nodes();
+        let neighbors: Vec<Vec<NodeId>> = mesh.nodes().map(|v| mesh.neighbors(v)).collect();
+        let (mut link_time, mut link_energy) = (vec![0.0; n * n], vec![0.0; n * n]);
+        for (u, adjacent) in neighbors.iter().enumerate() {
+            for &v in adjacent {
+                link_time[u * n + v.index()] = noc.link_time_ms(NodeId(u), v);
+                link_energy[u * n + v.index()] = noc.link_energy_mj(NodeId(u), v);
+            }
+        }
+        MeshTables { neighbors, link_time, link_energy }
     }
 }
 

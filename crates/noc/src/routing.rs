@@ -225,6 +225,78 @@ pub fn shortest_path(noc: &WeightedNoc, from: NodeId, to: NodeId, kind: PathKind
     Path::new(nodes)
 }
 
+/// The shortest-path tree of one source: [`shortest_path`]'s search run
+/// until every node has settled, with the same heap order and strict-`<`
+/// relaxation. The caller supplies the neighbours and the hop weights,
+/// which must equal the ones `shortest_path` reads for the same `kind`.
+///
+/// [`path_to`](Self::path_to) then returns `shortest_path(from, to, kind)`
+/// for every `to`, bit for bit. The early-exit search stops when `to`
+/// settles, and up to that pop both searches do the same work. Weights are
+/// non-negative, so no later relaxation is strictly below a settled
+/// distance: the predecessors of `to` and of every node on its path are
+/// final by then. The buffers are reused from one source to the next.
+#[derive(Default)]
+pub(crate) struct ShortestPathTree {
+    source: usize,
+    dist: Vec<f64>,
+    /// The node before each node on its path; `usize::MAX` at the source.
+    prev: Vec<usize>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl ShortestPathTree {
+    /// Grows the tree of `from`. `neighbors[v]` lists `v`'s neighbours in
+    /// [`Mesh2D::neighbors`] order, and `weight(u, v)` is the cost of the
+    /// hop `u → v`.
+    pub(crate) fn grow(
+        &mut self,
+        neighbors: &[Vec<NodeId>],
+        from: NodeId,
+        weight: impl Fn(usize, usize) -> f64,
+    ) {
+        let n = neighbors.len();
+        self.source = from.index();
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.prev.clear();
+        self.prev.resize(n, usize::MAX);
+        self.heap.clear();
+        self.dist[from.index()] = 0.0;
+        self.heap.push(HeapEntry { cost: 0.0, node: from.index() });
+        while let Some(HeapEntry { cost, node }) = self.heap.pop() {
+            if cost > self.dist[node] {
+                continue;
+            }
+            for nb in neighbors[node].iter().map(|nb| nb.index()) {
+                let next = cost + weight(node, nb);
+                if next < self.dist[nb] {
+                    self.dist[nb] = next;
+                    self.prev[nb] = node;
+                    self.heap.push(HeapEntry { cost: next, node: nb });
+                }
+            }
+        }
+    }
+
+    /// The tree's route from its source to `to`.
+    pub(crate) fn path_to(&self, to: NodeId) -> Path {
+        let mut len = 1;
+        let mut cur = to.index();
+        while cur != self.source {
+            cur = self.prev[cur];
+            len += 1;
+        }
+        let mut nodes = vec![to; len];
+        cur = to.index();
+        for slot in nodes[..len - 1].iter_mut().rev() {
+            cur = self.prev[cur];
+            *slot = NodeId(cur);
+        }
+        Path::new(nodes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,6 @@
 //! [`Deployment::energy_report`] exactly.
 
 use ndp_core::{Deployment, ProblemInstance};
-use ndp_noc::NodeId;
 use ndp_taskset::TaskId;
 
 /// Timing record for one executed task.
@@ -138,10 +137,11 @@ pub fn execute(problem: &ProblemInstance, deployment: &Deployment) -> ExecutionT
                 // Receive serialization (§II-B.5): every incoming transfer
                 // adds to the task's receive budget.
                 comm_delay[i] += problem.time_weight(data) * problem.comm.time_ms(nb, ng, rho);
-                for (k2, c) in comm_energy.iter_mut().enumerate() {
-                    let e = problem.comm.energy_at_mj(nb, ng, NodeId(k2), rho);
+                // Only the path's routers have a non-zero `e_{βγkρ}`.
+                for &k2 in problem.comm.path(nb, ng, rho).nodes() {
+                    let e = problem.comm.energy_at_mj(nb, ng, k2, rho);
                     if e != 0.0 {
-                        *c += data * e;
+                        comm_energy[k2.index()] += data * e;
                     }
                 }
             }

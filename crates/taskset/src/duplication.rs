@@ -37,13 +37,16 @@ impl DuplicatedGraph {
         for (p, s, d) in original.edges() {
             let pc = TaskId(p.index() + m);
             let sc = TaskId(s.index() + m);
-            // All four combinations; the expansion of an acyclic graph stays
-            // acyclic, so these cannot fail.
-            graph.add_edge(p, s, d).expect("edge valid");
-            graph.add_edge(pc, s, d).expect("edge valid");
-            graph.add_edge(p, sc, d).expect("edge valid");
-            graph.add_edge(pc, sc, d).expect("edge valid");
+            // All four combinations. Each maps an original edge onto copies
+            // of its endpoints, so a cycle here would map back to one in
+            // `original`: the expansion of a DAG is a DAG, and the edges
+            // skip `add_edge`'s per-edge cycle search.
+            graph.insert_edge(p, s, d);
+            graph.insert_edge(pc, s, d);
+            graph.insert_edge(p, sc, d);
+            graph.insert_edge(pc, sc, d);
         }
+        debug_assert_eq!(graph.topological_order().len(), 2 * m, "expansion must stay acyclic");
         DuplicatedGraph { graph, original_count: m }
     }
 

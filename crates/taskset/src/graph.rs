@@ -66,9 +66,18 @@ impl TaskGraph {
         if self.reaches(succ, pred) {
             return Err(TasksetError::CycleDetected { from: pred.index(), to: succ.index() });
         }
+        self.insert_edge(pred, succ, data_size);
+        Ok(())
+    }
+
+    /// Adds `pred → succ` without [`TaskGraph::add_edge`]'s checks, for
+    /// callers whose edges are valid by construction: the ids exist, differ
+    /// and close no cycle, and the size is finite and non-negative. Skips
+    /// the O(V + E) reachability search `add_edge` runs per edge.
+    pub(crate) fn insert_edge(&mut self, pred: TaskId, succ: TaskId, data_size: f64) {
+        debug_assert!(pred != succ && pred.index().max(succ.index()) < self.tasks.len());
         self.edges.insert((pred, succ), data_size);
         self.incoming.insert((succ, pred), data_size);
-        Ok(())
     }
 
     fn reaches(&self, from: TaskId, to: TaskId) -> bool {
@@ -333,6 +342,7 @@ mod tests {
     }
 
     use crate::duplication::DuplicatedGraph;
+    use crate::gen::{generate, GeneratorConfig, GraphShape};
     use proptest::prelude::*;
 
     /// `predecessors` / `in_degree` against a brute-force filter over
@@ -348,6 +358,35 @@ mod tests {
         Ok(())
     }
 
+    /// `DuplicatedGraph::expand` against the same expansion built with the
+    /// checked `add_edge`: same tasks, edges, data sizes and predecessor
+    /// order.
+    fn assert_expansion_matches_checked(g: &TaskGraph) -> std::result::Result<(), TestCaseError> {
+        let m = g.num_tasks();
+        let mut reference = TaskGraph::new();
+        for t in g.task_ids() {
+            reference.add_task(g.task(t).clone());
+        }
+        for t in g.task_ids() {
+            let task = g.task(t);
+            reference.add_task(Task::new(format!("{}'", task.name), task.wcec, task.deadline_ms));
+        }
+        for (p, s, d) in g.edges() {
+            let (pc, sc) = (TaskId(p.index() + m), TaskId(s.index() + m));
+            for (a, b) in [(p, s), (pc, s), (p, sc), (pc, sc)] {
+                reference.add_edge(a, b, d).expect("the expansion of a DAG is a DAG");
+            }
+        }
+        let expanded = DuplicatedGraph::expand(g);
+        prop_assert_eq!(expanded.graph(), &reference);
+        for t in reference.task_ids() {
+            let fast: Vec<(TaskId, f64)> = expanded.graph().predecessors(t).collect();
+            let checked: Vec<(TaskId, f64)> = reference.predecessors(t).collect();
+            prop_assert_eq!(fast, checked, "predecessors of {}", t);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -355,12 +394,16 @@ mod tests {
         /// rejected and must leave no trace), then one existing edge
         /// re-added with a new data size: `add_edge` overwrites, and the
         /// predecessor index must follow. Checked on the graph and on its
-        /// duplication expansion.
+        /// duplication expansion. The expansion of that graph, and of a
+        /// generated graph of every shape at `M = m`, must also equal the
+        /// expansion built edge by edge with the checked `add_edge`.
         #[test]
         fn predecessors_equal_brute_force_filter(
             n in 1usize..14,
             attempts in proptest::collection::vec((0usize..14, 0usize..14, 0.0f64..8.0), 0..48),
             overwrite in (0usize..48, 8.0f64..16.0),
+            m in 1usize..=40,
+            gen_seed in any::<u64>(),
         ) {
             let mut g = TaskGraph::new();
             for i in 0..n {
@@ -377,6 +420,16 @@ mod tests {
             }
             assert_predecessors_match_edges(&g)?;
             assert_predecessors_match_edges(DuplicatedGraph::expand(&g).graph())?;
+            assert_expansion_matches_checked(&g)?;
+            for shape in [
+                GraphShape::Layered { layers: (m / 4).clamp(2, 6), edge_probability: 0.25 },
+                GraphShape::Chain,
+                GraphShape::ForkJoin { width: 3 },
+                GraphShape::Random { edge_probability: 0.3 },
+            ] {
+                let config = GeneratorConfig { shape, ..GeneratorConfig::typical(m) };
+                assert_expansion_matches_checked(&generate(&config, gen_seed).unwrap())?;
+            }
         }
     }
 
