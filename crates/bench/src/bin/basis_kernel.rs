@@ -93,6 +93,7 @@ struct KernelRun {
     iters: u64,
     refactorizations: u64,
     factor_seconds: f64,
+    strong_branch_seconds: f64,
     seconds: f64,
     warm_starts: u64,
     cold_starts: u64,
@@ -159,6 +160,7 @@ fn run(
         iters: sol.simplex_iterations(),
         refactorizations: sol.stats().refactorizations,
         factor_seconds: sol.stats().factor_seconds,
+        strong_branch_seconds: sol.stats().strong_branch_seconds,
         seconds: t0.elapsed().as_secs_f64(),
         warm_starts: sol.stats().warm_starts,
         cold_starts: sol.stats().cold_starts,
@@ -209,6 +211,7 @@ fn record(
         pivots: r.iters,
         refactorizations: Some(r.refactorizations),
         factor_seconds: Some(r.factor_seconds),
+        strong_branch_seconds: Some(r.strong_branch_seconds),
         warm_starts: r.warm_starts,
         cold_starts: r.cold_starts,
         cuts_applied: r.cuts_applied,
@@ -230,7 +233,8 @@ fn record(
 /// first column.
 fn print_header(label: &str) {
     println!(
-        "{label:<18} {:>2} {:>5}  {:<10} {:>6}  {:>13}  {:>7}  {:>7}  {:>8}  {:>9}  warm/cold",
+        "{label:<18} {:>2} {:>5}  {:<10} {:>6}  {:>13}  {:>7}  {:>7}  {:>8}  {:>9}  {:>8}  {:>7}  \
+         warm/cold",
         "M",
         "seed",
         "status",
@@ -239,13 +243,16 @@ fn print_header(label: &str) {
         "seconds",
         "nodes/s",
         "pivots/s",
-        "refactors"
+        "refactors",
+        "ms/refac",
+        "probe_s"
     );
 }
 
 fn print_row(name: &str, tasks: usize, s: u64, r: &KernelRun) {
     println!(
-        "{name:<18} {tasks:>2} {s:>5}  {:<10} {:>6}  {:>13}  {:>7.2}  {:>7.0}  {:>8.0}  {:>9}  {:>4}/{:<4}",
+        "{name:<18} {tasks:>2} {s:>5}  {:<10} {:>6}  {:>13}  {:>7.2}  {:>7.0}  {:>8.0}  {:>9}  {:>8.3}  \
+         {:>7.2}  {:>4}/{:<4}",
         r.status,
         r.nodes,
         r.iters,
@@ -253,6 +260,8 @@ fn print_row(name: &str, tasks: usize, s: u64, r: &KernelRun) {
         r.nodes as f64 / r.seconds.max(1e-9),
         r.iters as f64 / r.seconds.max(1e-9),
         r.refactorizations,
+        1e3 * r.factor_seconds / r.refactorizations.max(1) as f64,
+        r.strong_branch_seconds,
         r.warm_starts,
         r.cold_starts,
     );

@@ -93,6 +93,7 @@ fn sweep_record(
         pivots: 0,
         refactorizations: None,
         factor_seconds: None,
+        strong_branch_seconds: None,
         warm_starts: 0,
         cold_starts: 0,
         cuts_applied: 0,

@@ -55,6 +55,7 @@ fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize
         pivots: 0,
         refactorizations: None,
         factor_seconds: None,
+        strong_branch_seconds: None,
         warm_starts: 0,
         cold_starts: 0,
         cuts_applied: 0,

@@ -145,6 +145,7 @@ fn main() {
                 pivots: out.stats.simplex_iterations,
                 refactorizations: Some(out.stats.refactorizations),
                 factor_seconds: Some(out.stats.factor_seconds),
+                strong_branch_seconds: Some(out.stats.strong_branch_seconds),
                 warm_starts: out.stats.warm_starts,
                 cold_starts: out.stats.cold_starts,
                 cuts_applied: out.stats.cuts_applied,

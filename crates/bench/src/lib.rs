@@ -383,6 +383,10 @@ pub struct BenchRecord {
     /// Seconds spent factorizing bases (`SolveStats::factor_seconds`);
     /// `None` (`null`) wherever `refactorizations` is.
     pub factor_seconds: Option<f64>,
+    /// Seconds inside strong-branching probe passes
+    /// (`SolveStats::strong_branch_seconds`, which overlaps the simplex and
+    /// factorization time); `None` (`null`) wherever `refactorizations` is.
+    pub strong_branch_seconds: Option<f64>,
     /// Node LPs started from a parent basis.
     pub warm_starts: u64,
     /// Node LPs started from the slack basis.
@@ -445,6 +449,7 @@ impl BenchRecord {
                 "\"warm_start\":{},\"cuts\":{},\"heuristics\":{},\"propagation\":{},",
                 "\"threads\":{},\"status\":\"{}\",\"nodes\":{},",
                 "\"pivots\":{},\"refactorizations\":{},\"factor_seconds\":{},",
+                "\"strong_branch_seconds\":{},",
                 "\"warm_starts\":{},\"cold_starts\":{},\"cuts_applied\":{},",
                 "\"heuristic_incumbents\":{},\"propagated_bounds\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
@@ -465,6 +470,7 @@ impl BenchRecord {
             self.pivots,
             self.refactorizations.map_or_else(|| "null".to_string(), |n| n.to_string()),
             self.factor_seconds.map_or_else(|| "null".to_string(), json_f64),
+            self.strong_branch_seconds.map_or_else(|| "null".to_string(), json_f64),
             self.warm_starts,
             self.cold_starts,
             self.cuts_applied,
@@ -626,6 +632,7 @@ mod tests {
             pivots: 345,
             refactorizations: Some(21),
             factor_seconds: Some(0.125),
+            strong_branch_seconds: Some(0.0625),
             warm_starts: 11,
             cold_starts: 1,
             cuts_applied: 7,
@@ -655,6 +662,7 @@ mod tests {
             "\"pivots\":345",
             "\"refactorizations\":21",
             "\"factor_seconds\":0.125000",
+            "\"strong_branch_seconds\":0.062500",
             "\"warm_starts\":11",
             "\"cold_starts\":1",
             "\"cuts_applied\":7",
@@ -692,6 +700,7 @@ mod tests {
             pivots: 9,
             refactorizations: None,
             factor_seconds: None,
+            strong_branch_seconds: None,
             warm_starts: 0,
             cold_starts: 3,
             cuts_applied: 0,
@@ -715,6 +724,7 @@ mod tests {
         assert!(j.contains("\"symmetry\":null"), "{j}");
         assert!(j.contains("\"refactorizations\":null"), "{j}");
         assert!(j.contains("\"factor_seconds\":null"), "{j}");
+        assert!(j.contains("\"strong_branch_seconds\":null"), "{j}");
         assert!(!j.contains("inf") && !j.contains("NaN"), "{j}");
     }
 
@@ -734,6 +744,7 @@ mod tests {
             pivots: 2,
             refactorizations: Some(1),
             factor_seconds: Some(0.0),
+            strong_branch_seconds: Some(0.0),
             warm_starts: 0,
             cold_starts: 1,
             cuts_applied: 0,

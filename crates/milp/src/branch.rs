@@ -189,6 +189,8 @@ pub(crate) struct NodeWorker<'a> {
     pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs this worker solved (reliability rule).
     pub(crate) strong_branch_probes: u64,
+    /// Wall seconds this worker spent inside probe passes.
+    pub(crate) strong_branch_seconds: f64,
     /// The probing node's re-seated LP state, captured once per probe pass
     /// so later re-seats copy it instead of refactorizing.
     probe_checkpoint: LpCheckpoint,
@@ -296,6 +298,7 @@ impl<'a> NodeWorker<'a> {
             symmetry: None,
             orbital_fixings: 0,
             strong_branch_probes: 0,
+            strong_branch_seconds: 0.0,
             probe_checkpoint: LpCheckpoint::default(),
         }
     }
@@ -938,7 +941,10 @@ impl<'a> NodeWorker<'a> {
     ) -> Result<(Vec<OpenNode>, f64)> {
         let x = &full[..self.model.num_vars()];
         if matches!(self.options.branch_rule, BranchRule::Reliability) {
-            match self.strong_branch_probe(x)? {
+            let t0 = Instant::now();
+            let probed = self.strong_branch_probe(x);
+            self.strong_branch_seconds += t0.elapsed().as_secs_f64();
+            match probed? {
                 ProbeResult::Done => {}
                 ProbeResult::Fathomed => {
                     // Both directions of some fractional column are primal
@@ -1064,6 +1070,8 @@ pub(crate) struct SearchOutcome {
     /// Strong-branching probe LPs solved (reliability rule), summed over
     /// workers.
     pub(crate) strong_branch_probes: u64,
+    /// Seconds inside probe passes, summed over workers.
+    pub(crate) strong_branch_seconds: f64,
 }
 
 /// Carried solver state between the solves of a
@@ -1528,6 +1536,7 @@ pub(crate) fn solve_on_form(
             symmetry_orbits,
             orbital_fixings: outcome.orbital_fixings,
             strong_branch_probes: outcome.strong_branch_probes,
+            strong_branch_seconds: outcome.strong_branch_seconds,
         },
     })
 }
@@ -1630,6 +1639,7 @@ fn serial_search(
         propagation_seconds: worker.propagation_seconds,
         orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
+        strong_branch_seconds: worker.strong_branch_seconds,
     })
 }
 

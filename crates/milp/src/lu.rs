@@ -11,7 +11,11 @@
 //!   with **Markowitz ordering** (pivot chosen to minimize
 //!   `(r_i − 1)(c_j − 1)` fill-in over a small set of lowest-count candidate
 //!   columns) under **threshold partial pivoting** (`|a_ij| ≥ τ·max|a_·j|`,
-//!   bounding every L multiplier by `1/τ`).
+//!   bounding every L multiplier by `1/τ`). Simplex bases are mostly slack
+//!   columns, so most elimination steps have four or more singleton
+//!   columns to choose from; an index of them ([`Singletons`]) yields
+//!   those steps' candidates without visiting every alive column, and only
+//!   the remaining steps pay the `O(alive)` candidate scan.
 //! * [`EtaFile`] — product-form updates: each basis exchange appends one eta
 //!   vector instead of touching the factorization, so a pivot costs
 //!   O(nnz(B⁻¹A_q)). The file length is capped by the caller
@@ -37,6 +41,108 @@ const PIVOT_FLOOR: f64 = 1e-11;
 const DROP_TOL: f64 = 1e-14;
 /// Number of lowest-count candidate columns scanned per Markowitz search.
 const SEARCH_COLS: usize = 4;
+
+/// The alive columns of the active submatrix whose count is 1, as a bitset
+/// over basis positions, with the number of alive columns of count 1 and
+/// of count 0. [`LuFactors::factorize`] reports every count change and
+/// every column death, so the index always matches `ccount`.
+struct Singletons {
+    bits: Vec<u64>,
+    ones: usize,
+    zeros: usize,
+    /// No word below this one holds a set bit.
+    lo: usize,
+}
+
+impl Singletons {
+    fn new(m: usize) -> Self {
+        Singletons { bits: vec![0; m.div_ceil(64)], ones: 0, zeros: 0, lo: 0 }
+    }
+
+    /// Alive column `c` enters with count `count`.
+    fn enter(&mut self, c: usize, count: usize) {
+        match count {
+            0 => self.zeros += 1,
+            1 => {
+                self.bits[c / 64] |= 1 << (c % 64);
+                self.ones += 1;
+                self.lo = self.lo.min(c / 64);
+            }
+            _ => {}
+        }
+    }
+
+    /// Column `c` of count `count` dies (or is about to be recounted).
+    fn leave(&mut self, c: usize, count: usize) {
+        match count {
+            0 => self.zeros -= 1,
+            1 => {
+                self.bits[c / 64] &= !(1 << (c % 64));
+                self.ones -= 1;
+            }
+            _ => {}
+        }
+    }
+
+    /// Alive column `c`'s count went from `old` to `new`.
+    fn recount(&mut self, c: usize, old: usize, new: usize) {
+        if old != new {
+            self.leave(c, old);
+            self.enter(c, new);
+        }
+    }
+
+    /// The candidates of the insertion scan in
+    /// [`LuFactors::factorize`] when at least [`SEARCH_COLS`] count-1
+    /// columns and no count-0 column are alive: the lowest-position count-1
+    /// columns, in position order. The scan builds exactly that list. Only
+    /// a strictly smaller count displaces a held column, so nothing
+    /// displaces a count-1 column, and each count-1 column enters right
+    /// behind those already held until the list is full. `None` when the
+    /// condition fails.
+    fn lowest(&mut self) -> Option<[usize; SEARCH_COLS]> {
+        if self.zeros > 0 || self.ones < SEARCH_COLS {
+            return None;
+        }
+        while self.bits[self.lo] == 0 {
+            self.lo += 1;
+        }
+        let mut cand = [usize::MAX; SEARCH_COLS];
+        let mut k = 0;
+        for (w, &word) in self.bits.iter().enumerate().skip(self.lo) {
+            let mut word = word;
+            while word != 0 {
+                cand[k] = w * 64 + word.trailing_zeros() as usize;
+                k += 1;
+                if k == SEARCH_COLS {
+                    return Some(cand);
+                }
+                word &= word - 1;
+            }
+        }
+        unreachable!("the index holds {} count-1 columns", self.ones)
+    }
+}
+
+/// The insertion scan of [`LuFactors::factorize`] over `alive` in the order
+/// given: each column enters the fixed-size list in front of the first
+/// held column of strictly larger count (or into the first empty slot),
+/// and the column it displaces moves on the same way.
+fn scan_candidates(alive: &[usize], ccount: &[usize]) -> [usize; SEARCH_COLS] {
+    let mut cand = [usize::MAX; SEARCH_COLS];
+    for &c in alive {
+        let mut hold = c;
+        for slot in cand.iter_mut() {
+            if *slot == usize::MAX || ccount[hold] < ccount[*slot] {
+                std::mem::swap(&mut hold, slot);
+                if hold == usize::MAX {
+                    break;
+                }
+            }
+        }
+    }
+    cand
+}
 
 /// A sparse LU factorization of one basis matrix.
 #[derive(Debug, Default)]
@@ -105,6 +211,16 @@ impl LuFactors {
 
     /// Factorizes the basis `B = [A_{basis[0]} … A_{basis[m−1]}]`.
     ///
+    /// Each elimination step takes its Markowitz candidates from an
+    /// insertion scan of the alive columns by count. When four or more
+    /// count-1 columns and no count-0 column are alive, the scan's list is
+    /// the four lowest-position count-1 columns ([`Singletons::lowest`]),
+    /// which the singleton index yields in `O(m/64)`. The other steps run
+    /// the scan over a position-sorted list of the alive columns, `O(alive)`
+    /// each. On slack-heavy simplex bases almost every step takes the index,
+    /// so the search no longer costs `O(m²)` per factorization, and the
+    /// factors are those of the full scan bit for bit.
+    ///
     /// # Errors
     ///
     /// Returns [`MilpError::SingularBasis`] when no acceptable pivot exists
@@ -118,6 +234,7 @@ impl LuFactors {
         let mut rows_touch: Vec<Vec<usize>> = vec![Vec::new(); m];
         let mut rcount = vec![0usize; m];
         let mut ccount = vec![0usize; m];
+        let mut singles = Singletons::new(m);
         for (pos, &j) in basis.iter().enumerate() {
             let col: Vec<(usize, f64)> = match sf.column(j) {
                 ColumnRef::Structural(nz) => nz.to_vec(),
@@ -128,8 +245,12 @@ impl LuFactors {
                 rows_touch[r].push(pos);
             }
             ccount[pos] = col.len();
+            singles.enter(pos, col.len());
             acols.push(col);
         }
+        // The alive positions in ascending order, built when the index
+        // first cannot answer and pruned of dead columns at each later scan.
+        let mut alive: Option<Vec<usize>> = None;
 
         let mut row_alive = vec![true; m];
         let mut col_alive = vec![true; m];
@@ -145,19 +266,11 @@ impl LuFactors {
 
         for step in 0..m {
             // --- Markowitz pivot search over low-count candidate columns ---
-            let mut cand = [usize::MAX; SEARCH_COLS];
-            for (c, _) in col_alive.iter().enumerate().filter(|&(_, &alive)| alive) {
-                // Insertion into the fixed-size best-count list.
-                let mut hold = c;
-                for slot in cand.iter_mut() {
-                    if *slot == usize::MAX || ccount[hold] < ccount[*slot] {
-                        std::mem::swap(&mut hold, slot);
-                        if hold == usize::MAX {
-                            break;
-                        }
-                    }
-                }
-            }
+            let cand = singles.lowest().unwrap_or_else(|| {
+                let alive = alive.get_or_insert_with(|| (0..m).filter(|&c| col_alive[c]).collect());
+                alive.retain(|&c| col_alive[c]);
+                scan_candidates(alive, &ccount)
+            });
             let mut best: Option<(usize, usize, f64, u64)> = None; // (row, col, val, cost)
             for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
                 // Compact: drop dead rows and numerically vanished entries.
@@ -171,6 +284,7 @@ impl LuFactors {
                     }
                     true
                 });
+                singles.recount(c, ccount[c], acols[c].len());
                 ccount[c] = acols[c].len();
                 let colmax = acols[c].iter().map(|&(_, v)| v.abs()).fold(0.0, f64::max);
                 if colmax < PIVOT_FLOOR {
@@ -201,6 +315,7 @@ impl LuFactors {
             row_step[pr] = step;
             u_diag.push(pv);
             col_alive[pc] = false;
+            singles.leave(pc, ccount[pc]);
             row_alive[pr] = false;
             // The pivot column leaves the active submatrix.
             let mut mult: Vec<(usize, f64)> = Vec::new();
@@ -221,33 +336,34 @@ impl LuFactors {
                 let Some(pos) = acols[c].iter().position(|&(r, _)| r == pr) else {
                     continue; // stale reference (entry dropped earlier)
                 };
+                let before = ccount[c];
                 let (_, vpc) = acols[c].swap_remove(pos);
                 ccount[c] = ccount[c].saturating_sub(1);
                 u_by_pos[c].push((step, vpc));
-                if mult.is_empty() || vpc == 0.0 {
-                    continue;
-                }
-                // Scatter `col_c ← col_c − vpc · mult` with a dense marker.
-                for (p, &(r, _)) in acols[c].iter().enumerate() {
-                    marker[r] = p + 1;
-                }
-                for &(r, l) in &mult {
-                    let delta = -l * vpc;
-                    match marker[r] {
-                        0 => {
-                            if delta.abs() >= DROP_TOL && row_alive[r] {
-                                acols[c].push((r, delta));
-                                ccount[c] += 1;
-                                rcount[r] += 1;
-                                rows_touch[r].push(c);
+                if !mult.is_empty() && vpc != 0.0 {
+                    // Scatter `col_c ← col_c − vpc · mult` with a dense marker.
+                    for (p, &(r, _)) in acols[c].iter().enumerate() {
+                        marker[r] = p + 1;
+                    }
+                    for &(r, l) in &mult {
+                        let delta = -l * vpc;
+                        match marker[r] {
+                            0 => {
+                                if delta.abs() >= DROP_TOL && row_alive[r] {
+                                    acols[c].push((r, delta));
+                                    ccount[c] += 1;
+                                    rcount[r] += 1;
+                                    rows_touch[r].push(c);
+                                }
                             }
+                            p => acols[c][p - 1].1 += delta,
                         }
-                        p => acols[c][p - 1].1 += delta,
+                    }
+                    for &(r, _) in &acols[c] {
+                        marker[r] = 0;
                     }
                 }
-                for &(r, _) in &acols[c] {
-                    marker[r] = 0;
-                }
+                singles.recount(c, before, ccount[c]);
             }
             l_raw.push(mult);
         }
@@ -414,6 +530,7 @@ mod tests {
     use crate::model::Model;
     use crate::options::SolverOptions;
     use crate::LinExpr;
+    use proptest::prelude::*;
 
     /// A standard form with a non-trivial sparse structural block.
     fn fixture() -> StandardForm {
@@ -590,6 +707,424 @@ mod tests {
         assert_eq!(etas.heads, first);
         let updates: Vec<_> = etas.heads.iter().map(|e| (e.r, e.pivot, e.start, e.end)).collect();
         assert_eq!(updates, [(0, 2.0, 0, 2), (3, 4.0, 2, 3)]);
+    }
+
+    /// The factorization as it was before the singleton index: the
+    /// insertion scan visits every alive column at every step. Kept as the
+    /// reference the indexed search must reproduce bit for bit.
+    fn factorize_reference(sf: &StandardForm, basis: &[usize]) -> Result<LuFactors> {
+        let m = basis.len();
+        let mut acols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut rows_touch: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut rcount = vec![0usize; m];
+        let mut ccount = vec![0usize; m];
+        for (pos, &j) in basis.iter().enumerate() {
+            let col: Vec<(usize, f64)> = match sf.column(j) {
+                ColumnRef::Structural(nz) => nz.to_vec(),
+                ColumnRef::Slack(r) => vec![(r, 1.0)],
+            };
+            for &(r, _) in &col {
+                rcount[r] += 1;
+                rows_touch[r].push(pos);
+            }
+            ccount[pos] = col.len();
+            acols.push(col);
+        }
+
+        let mut row_alive = vec![true; m];
+        let mut col_alive = vec![true; m];
+        let mut row_step = vec![usize::MAX; m];
+        let mut row_at = Vec::with_capacity(m);
+        let mut col_at = Vec::with_capacity(m);
+        let mut l_raw: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut u_by_pos: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        let mut u_diag = Vec::with_capacity(m);
+        let mut marker = vec![0usize; m];
+
+        for step in 0..m {
+            let mut cand = [usize::MAX; SEARCH_COLS];
+            for (c, _) in col_alive.iter().enumerate().filter(|&(_, &alive)| alive) {
+                let mut hold = c;
+                for slot in cand.iter_mut() {
+                    if *slot == usize::MAX || ccount[hold] < ccount[*slot] {
+                        std::mem::swap(&mut hold, slot);
+                        if hold == usize::MAX {
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut best: Option<(usize, usize, f64, u64)> = None;
+            for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
+                acols[c].retain(|&(r, v)| {
+                    if !row_alive[r] {
+                        return false;
+                    }
+                    if v.abs() < DROP_TOL {
+                        rcount[r] -= 1;
+                        return false;
+                    }
+                    true
+                });
+                ccount[c] = acols[c].len();
+                let colmax = acols[c].iter().map(|&(_, v)| v.abs()).fold(0.0, f64::max);
+                if colmax < PIVOT_FLOOR {
+                    return Err(MilpError::SingularBasis);
+                }
+                for &(r, v) in &acols[c] {
+                    if v.abs() < PIVOT_THRESHOLD * colmax || v.abs() < PIVOT_FLOOR {
+                        continue;
+                    }
+                    let cost = (rcount[r] as u64 - 1) * (ccount[c] as u64 - 1);
+                    let better = match best {
+                        None => true,
+                        Some((_, _, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
+                    };
+                    if better {
+                        best = Some((r, c, v, cost));
+                    }
+                }
+            }
+            let Some((pr, pc, pv, _)) = best else {
+                return Err(MilpError::SingularBasis);
+            };
+
+            row_at.push(pr);
+            col_at.push(pc);
+            row_step[pr] = step;
+            u_diag.push(pv);
+            col_alive[pc] = false;
+            row_alive[pr] = false;
+            let mut mult: Vec<(usize, f64)> = Vec::new();
+            for &(r, v) in &acols[pc] {
+                rcount[r] = rcount[r].saturating_sub(1);
+                if r != pr {
+                    mult.push((r, v / pv));
+                }
+            }
+            acols[pc].clear();
+
+            let touched = std::mem::take(&mut rows_touch[pr]);
+            for &c in &touched {
+                if !col_alive[c] {
+                    continue;
+                }
+                let Some(pos) = acols[c].iter().position(|&(r, _)| r == pr) else {
+                    continue;
+                };
+                let (_, vpc) = acols[c].swap_remove(pos);
+                ccount[c] = ccount[c].saturating_sub(1);
+                u_by_pos[c].push((step, vpc));
+                if mult.is_empty() || vpc == 0.0 {
+                    continue;
+                }
+                for (p, &(r, _)) in acols[c].iter().enumerate() {
+                    marker[r] = p + 1;
+                }
+                for &(r, l) in &mult {
+                    let delta = -l * vpc;
+                    match marker[r] {
+                        0 => {
+                            if delta.abs() >= DROP_TOL && row_alive[r] {
+                                acols[c].push((r, delta));
+                                ccount[c] += 1;
+                                rcount[r] += 1;
+                                rows_touch[r].push(c);
+                            }
+                        }
+                        p => acols[c][p - 1].1 += delta,
+                    }
+                }
+                for &(r, _) in &acols[c] {
+                    marker[r] = 0;
+                }
+            }
+            l_raw.push(mult);
+        }
+
+        let l_cols: Vec<Vec<(usize, f64)>> = l_raw
+            .into_iter()
+            .map(|col| col.into_iter().map(|(r, v)| (row_step[r], v)).collect())
+            .collect();
+        let u_cols: Vec<Vec<(usize, f64)>> =
+            col_at.iter().map(|&pos| std::mem::take(&mut u_by_pos[pos])).collect();
+
+        Ok(LuFactors { m, row_at, col_at, l_cols, u_cols, u_diag })
+    }
+
+    /// `Ok` when both results are errors, or both are factors with the same
+    /// permutations and bit-identical `L`, `U` and diagonal.
+    fn same_factors(
+        a: &Result<LuFactors>,
+        b: &Result<LuFactors>,
+    ) -> std::result::Result<(), String> {
+        let bits = |cols: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
+            cols.iter().map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect()).collect()
+        };
+        match (a, b) {
+            (Err(MilpError::SingularBasis), Err(MilpError::SingularBasis)) => Ok(()),
+            (Ok(a), Ok(b)) => {
+                let diag = |f: &LuFactors| f.u_diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                if a.m != b.m || a.row_at != b.row_at || a.col_at != b.col_at {
+                    return Err(format!(
+                        "pivots differ: rows {:?} vs {:?}, positions {:?} vs {:?}",
+                        a.row_at, b.row_at, a.col_at, b.col_at
+                    ));
+                }
+                if bits(&a.l_cols) != bits(&b.l_cols) || bits(&a.u_cols) != bits(&b.u_cols) {
+                    return Err("L or U entries differ".into());
+                }
+                if diag(a) != diag(b) {
+                    return Err("U diagonals differ".into());
+                }
+                Ok(())
+            }
+            (a, b) => Err(format!(
+                "outcomes differ: {:?} vs {:?}",
+                a.as_ref().map(|_| "factors"),
+                b.as_ref().map(|_| "factors")
+            )),
+        }
+    }
+
+    /// A standard form holding `cols` as its structural columns over `m`
+    /// rows; only the columns matter to a factorization.
+    fn form_of(m: usize, cols: Vec<Vec<(usize, f64)>>) -> StandardForm {
+        let n = cols.len();
+        let mut rows_nz = vec![Vec::new(); m];
+        for (j, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                rows_nz[r].push((j, v));
+            }
+        }
+        StandardForm {
+            cols,
+            rows_nz,
+            b: vec![0.0; m],
+            c: vec![0.0; n],
+            lb: vec![0.0; n + m],
+            ub: vec![1.0; n + m],
+            clamped: vec![false; n + m],
+            n,
+            m,
+            obj_offset: 0.0,
+            maximize: false,
+            big: 1e9,
+        }
+    }
+
+    /// A random `m × m` basis drawn from `seed`. The draw picks a slack
+    /// share (none to 95 %), and may make the structural columns
+    /// singletons with |v| above or below 1, give them a fill-heavy
+    /// nucleus, sprinkle entries between `DROP_TOL` and `PIVOT_FLOOR` (and
+    /// below `DROP_TOL`), or add empty and duplicated columns. Each column
+    /// owns one diagonal row of a random permutation, so most bases without
+    /// empty or duplicated columns factorize.
+    fn random_basis(seed: u64, m: usize) -> (StandardForm, Vec<usize>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slack_share = [0.0, 0.5, 0.85, 0.95][rng.gen_range(0..4usize)];
+        let singleton_share = [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
+        let nucleus = rng.gen_bool(0.3);
+        let tiny = rng.gen_bool(0.3);
+        let degenerate = rng.gen_bool(0.2);
+        let mut rows: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let value = |rng: &mut StdRng| -> f64 {
+            let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+            let magnitude = match rng.gen_range(0..8usize) {
+                0 if tiny => 10f64.powf(rng.gen_range(-14.0..-11.0)),
+                1 if tiny => 10f64.powf(rng.gen_range(-16.0..-14.0)),
+                2 => 1.0,
+                3 | 4 => rng.gen_range(0.05..0.99),
+                _ => rng.gen_range(1.01..8.0),
+            };
+            sign * magnitude
+        };
+        // `None` marks the slack of the position's diagonal row.
+        let mut picks: Vec<Option<usize>> = Vec::with_capacity(m);
+        let mut cols: Vec<Vec<(usize, f64)>> = Vec::new();
+        for &row in &rows {
+            if rng.gen_bool(slack_share) {
+                picks.push(None);
+                continue;
+            }
+            if degenerate && !cols.is_empty() && rng.gen_bool(0.1) {
+                // The same structural column twice in the basis.
+                picks.push(Some(rng.gen_range(0..cols.len())));
+                continue;
+            }
+            let mut col = Vec::new();
+            if !(degenerate && rng.gen_bool(0.1)) {
+                col.push((row, value(&mut rng)));
+                let extra = if rng.gen_bool(singleton_share) {
+                    0
+                } else if nucleus {
+                    rng.gen_range(1..=m.div_ceil(2))
+                } else {
+                    rng.gen_range(1..=3usize)
+                };
+                for _ in 0..extra.min(m - 1) {
+                    let r = rng.gen_range(0..m);
+                    if col.iter().all(|&(q, _)| q != r) {
+                        col.push((r, value(&mut rng)));
+                    }
+                }
+                col.sort_by_key(|&(r, _)| r);
+            }
+            picks.push(Some(cols.len()));
+            cols.push(col);
+        }
+        let n = cols.len();
+        let basis = picks.iter().zip(&rows).map(|(p, &row)| p.unwrap_or(n + row)).collect();
+        (form_of(m, cols), basis)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// The indexed candidate search returns the factors of the full
+        /// scan bit for bit, and fails exactly where the scan fails.
+        #[test]
+        fn factorize_matches_the_full_scan_bit_for_bit(seed in any::<u64>(), m in 1usize..=60) {
+            let (sf, basis) = random_basis(seed, m);
+            let indexed = LuFactors::factorize(&sf, &basis);
+            let reference = factorize_reference(&sf, &basis);
+            if let Err(msg) = same_factors(&indexed, &reference) {
+                return Err(TestCaseError::fail(format!("m = {m}, basis {basis:?}: {msg}")));
+            }
+        }
+
+        /// The index answers with exactly the scan's candidate list
+        /// whenever it answers, and declines exactly when a count-0 column
+        /// is alive or fewer than four count-1 columns are, under random
+        /// count changes and column deaths.
+        #[test]
+        fn singleton_index_answers_with_the_scans_list(
+            seed in any::<u64>(),
+            m in 1usize..=150,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Some cases never draw a count-0 column, so the index answers
+            // for long stretches; the others keep declining and recovering.
+            let p_zero = [0.0, 0.02, 0.1][rng.gen_range(0..3usize)];
+            let draw = |rng: &mut StdRng| {
+                if rng.gen_bool(p_zero) {
+                    0
+                } else if rng.gen_bool(0.6) {
+                    1
+                } else {
+                    rng.gen_range(2..6usize)
+                }
+            };
+            let mut ccount: Vec<usize> = (0..m).map(|_| draw(&mut rng)).collect();
+            let mut alive = vec![true; m];
+            let mut index = Singletons::new(m);
+            for (c, &k) in ccount.iter().enumerate() {
+                index.enter(c, k);
+            }
+            for _ in 0..2 * m {
+                let c = rng.gen_range(0..m);
+                if !alive[c] {
+                    continue;
+                }
+                if rng.gen_bool(0.3) {
+                    alive[c] = false;
+                    index.leave(c, ccount[c]);
+                } else {
+                    let k = draw(&mut rng);
+                    index.recount(c, ccount[c], k);
+                    ccount[c] = k;
+                }
+                let positions: Vec<usize> = (0..m).filter(|&c| alive[c]).collect();
+                let scan = scan_candidates(&positions, &ccount);
+                let ones = positions.iter().filter(|&&c| ccount[c] == 1).count();
+                let zeros = positions.iter().filter(|&&c| ccount[c] == 0).count();
+                let expected = (zeros == 0 && ones >= SEARCH_COLS).then_some(scan);
+                prop_assert_eq!(index.lowest(), expected);
+            }
+        }
+
+        /// Every basis the dual simplex passes through, pivot by pivot, on
+        /// a small random binary MILP and along a dive that fixes its
+        /// fractional columns, factorizes bit for bit like the full scan.
+        #[test]
+        fn factorize_matches_the_full_scan_on_simplex_iterates(
+            milp in crate::testgen::random_binary_milp(),
+        ) {
+            let model = crate::testgen::build_random(&milp);
+            let checked = walk_iterates(&model)?;
+            prop_assert!(checked > 0);
+        }
+    }
+
+    /// Runs the dual simplex one pivot at a time from the slack basis,
+    /// fixing the first fractional column to its floor at each LP optimum,
+    /// and checks the factorization of every basis on the way. Returns the
+    /// number of bases checked.
+    fn walk_iterates(model: &Model) -> std::result::Result<usize, TestCaseError> {
+        use crate::simplex::{LpStatus, Simplex};
+        let opts = SolverOptions::default();
+        let sf = StandardForm::from_model(model, &opts);
+        let mut lp = Simplex::new(&sf, &opts);
+        let mut checked = 0;
+        for _ in 0..10_000 {
+            let basis: Vec<usize> = (0..lp.nrows()).map(|r| lp.basis_col(r)).collect();
+            if let Err(msg) = same_factors(
+                &LuFactors::factorize(lp.form(), &basis),
+                &factorize_reference(lp.form(), &basis),
+            ) {
+                return Err(TestCaseError::fail(format!("basis {basis:?}: {msg}")));
+            }
+            checked += 1;
+            match lp.optimize_capped(1) {
+                Err(MilpError::IterationLimit { .. }) => {}
+                Ok(LpStatus::Optimal) => {
+                    let fractional = (0..model.num_vars()).find(|&j| {
+                        let v = lp.value(j);
+                        (v - v.round()).abs() > 1e-6
+                    });
+                    let Some(j) = fractional else { break };
+                    let floor = lp.value(j).floor();
+                    lp.set_bounds(j, floor, floor);
+                    lp.refresh();
+                }
+                Ok(LpStatus::Infeasible) | Err(_) => break,
+            }
+        }
+        Ok(checked)
+    }
+
+    /// Real iterates on larger models than the property above draws: a
+    /// sparse random knapsack-style binary MILP of 30 columns and 24 `≤`
+    /// rows per seed, maximized, so the dual simplex starts from every
+    /// column at its upper bound and pivots for a while.
+    #[test]
+    fn factorize_matches_the_full_scan_on_larger_simplex_iterates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut checked = 0;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 30;
+            let rows = (0..24)
+                .map(|_| {
+                    let coeffs = (0..n)
+                        .map(|_| if rng.gen_bool(0.2) { rng.gen_range(1i32..=5) } else { 0 })
+                        .collect();
+                    (coeffs, 0, rng.gen_range(1i32..=8))
+                })
+                .collect();
+            let obj = (0..n).map(|_| rng.gen_range(1i32..=9)).collect();
+            let milp = crate::testgen::RandomBinaryMilp { n, obj, maximize: true, rows };
+            checked += walk_iterates(&crate::testgen::build_random(&milp)).unwrap();
+        }
+        assert!(checked >= 100, "only {checked} bases checked");
     }
 
     #[test]

@@ -43,8 +43,12 @@ impl SolveStatus {
 /// simplex loop. Strong-branching probes have no bucket of their own:
 /// their pivots count as simplex time, the one refactorizing re-seat per
 /// probe pass as factorization time and the checkpoint copies that undo
-/// the other probes as other time. Under `threads ≥ 2` the per-phase times
-/// are CPU-seconds summed across workers and may exceed the wall clock.
+/// the other probes as other time. [`SolveStats::strong_branch_seconds`]
+/// reports the probe passes' whole wall time as an "of which" figure that
+/// overlaps those buckets; it is not one of the six and
+/// [`SolveStats::other_seconds`] does not subtract it. Under
+/// `threads ≥ 2` the per-phase times are CPU-seconds summed across workers
+/// and may exceed the wall clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveStats {
     /// Wall-clock seconds of the whole solve.
@@ -111,6 +115,11 @@ pub struct SolveStats {
     pub orbital_fixings: u64,
     /// Strong-branching probe LPs solved by reliability branching.
     pub strong_branch_probes: u64,
+    /// Wall seconds inside reliability branching's probe passes: the probe
+    /// LPs, the re-seats and rollbacks between them. It overlaps the
+    /// simplex, factorization and other time (see the struct docs), and
+    /// is `0.0` under every other branch rule.
+    pub strong_branch_seconds: f64,
 }
 
 impl SolveStats {

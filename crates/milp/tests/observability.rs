@@ -4,7 +4,9 @@
 mod common;
 
 use common::{hard_knapsack, recording_observer, small_mip};
-use ndp_milp::{CancelToken, SolveStatus, SolverEvent, SolverOptions, TerminationReason};
+use ndp_milp::{
+    BranchRule, CancelToken, SolveStatus, SolverEvent, SolverOptions, TerminationReason,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,6 +153,26 @@ fn incumbent_events_report_shrinking_gap_on_maximization() {
             assert!(*objective <= sol.objective_value() + 1e-9);
         }
     }
+}
+
+/// Probe time is reported only where reliability branching probes, and a
+/// serial solve cannot spend more of its wall time probing than it took.
+#[test]
+fn strong_branch_seconds_cover_only_probe_passes() {
+    let solve = |rule: BranchRule| {
+        let opts = SolverOptions::default().threads(1).branch_rule(rule);
+        *hard_knapsack(14).solve_with(&opts).unwrap().stats()
+    };
+    let plain = solve(BranchRule::MostFractional);
+    assert_eq!((plain.strong_branch_probes, plain.strong_branch_seconds), (0, 0.0));
+    let probed = solve(BranchRule::Reliability);
+    assert!(probed.strong_branch_probes > 0, "reliability branching must probe here");
+    assert!(
+        probed.strong_branch_seconds > 0.0 && probed.strong_branch_seconds <= probed.total_seconds,
+        "{} s probing in a {} s solve",
+        probed.strong_branch_seconds,
+        probed.total_seconds
+    );
 }
 
 #[test]
