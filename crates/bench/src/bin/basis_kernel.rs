@@ -94,6 +94,7 @@ struct KernelRun {
     refactorizations: u64,
     factor_seconds: f64,
     strong_branch_seconds: f64,
+    strong_branch_cutoffs: u64,
     seconds: f64,
     warm_starts: u64,
     cold_starts: u64,
@@ -161,6 +162,7 @@ fn run(
         refactorizations: sol.stats().refactorizations,
         factor_seconds: sol.stats().factor_seconds,
         strong_branch_seconds: sol.stats().strong_branch_seconds,
+        strong_branch_cutoffs: sol.stats().strong_branch_cutoffs,
         seconds: t0.elapsed().as_secs_f64(),
         warm_starts: sol.stats().warm_starts,
         cold_starts: sol.stats().cold_starts,
@@ -234,7 +236,7 @@ fn record(
 fn print_header(label: &str) {
     println!(
         "{label:<18} {:>2} {:>5}  {:<10} {:>6}  {:>13}  {:>7}  {:>7}  {:>8}  {:>9}  {:>8}  {:>7}  \
-         warm/cold",
+         {:>7}  warm/cold",
         "M",
         "seed",
         "status",
@@ -245,14 +247,15 @@ fn print_header(label: &str) {
         "pivots/s",
         "refactors",
         "ms/refac",
-        "probe_s"
+        "probe_s",
+        "cutoffs"
     );
 }
 
 fn print_row(name: &str, tasks: usize, s: u64, r: &KernelRun) {
     println!(
         "{name:<18} {tasks:>2} {s:>5}  {:<10} {:>6}  {:>13}  {:>7.2}  {:>7.0}  {:>8.0}  {:>9}  {:>8.3}  \
-         {:>7.2}  {:>4}/{:<4}",
+         {:>7.2}  {:>7}  {:>4}/{:<4}",
         r.status,
         r.nodes,
         r.iters,
@@ -262,6 +265,7 @@ fn print_row(name: &str, tasks: usize, s: u64, r: &KernelRun) {
         r.refactorizations,
         1e3 * r.factor_seconds / r.refactorizations.max(1) as f64,
         r.strong_branch_seconds,
+        r.strong_branch_cutoffs,
         r.warm_starts,
         r.cold_starts,
     );

@@ -189,6 +189,8 @@ pub(crate) struct NodeWorker<'a> {
     pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs this worker solved (reliability rule).
     pub(crate) strong_branch_probes: u64,
+    /// Probe sides this worker refuted against the incumbent.
+    pub(crate) strong_branch_cutoffs: u64,
     /// Wall seconds this worker spent inside probe passes.
     pub(crate) strong_branch_seconds: f64,
     /// The probing node's re-seated LP state, captured once per probe pass
@@ -196,16 +198,21 @@ pub(crate) struct NodeWorker<'a> {
     probe_checkpoint: LpCheckpoint,
 }
 
-/// Outcome of a reliability strong-branching pass at one node.
+/// Outcome of a reliability strong-branching pass at one node. A probe side
+/// is *refuted* when its child LP is primal infeasible, or when it solved
+/// to optimality with a bound that closes the gap against the incumbent
+/// (cut off); a capped probe never refutes.
 enum ProbeResult {
     /// Pseudo-costs seeded (or nothing to probe); branch normally.
     Done,
-    /// One probe direction proved infeasible: branch single-sided the other
-    /// way (`up` is the direction of the surviving child).
+    /// One probe direction was refuted: branch single-sided the other way
+    /// (`up` is the direction of the surviving child).
     Forced { j: usize, v: f64, up: bool },
-    /// Both probe directions proved infeasible: the node carries no integer
-    /// point.
-    Fathomed,
+    /// Both probe directions of one column were refuted: the node carries
+    /// no integer point that improves on the incumbent. `bound` is the
+    /// smaller probe bound of a cut-off side, `+inf` when both sides are
+    /// infeasible.
+    Fathomed { bound: f64 },
 }
 
 /// Ceiling on in-tree cuts one worker may append to its LP: every row is
@@ -298,6 +305,7 @@ impl<'a> NodeWorker<'a> {
             symmetry: None,
             orbital_fixings: 0,
             strong_branch_probes: 0,
+            strong_branch_cutoffs: 0,
             strong_branch_seconds: 0.0,
             probe_checkpoint: LpCheckpoint::default(),
         }
@@ -775,11 +783,19 @@ impl<'a> NodeWorker<'a> {
     /// ([`SolverOptions::strong_branch_pivot_limit`]), warm from this
     /// node's optimal basis, and seed the pseudo-costs with the observed
     /// degradations. A capped probe still yields a valid degradation
-    /// estimate (any dual-feasible iterate bounds the child from below);
-    /// a primal-infeasible probe is a rigorous proof the child is empty,
-    /// which forces a single-sided branch (or fathoms the node when both
-    /// sides are refuted).
-    fn strong_branch_probe(&mut self, x: &[f64]) -> Result<ProbeResult> {
+    /// estimate (any dual-feasible iterate bounds the child from below).
+    ///
+    /// A probe side is refuted when its child holds no integer point better
+    /// than the incumbent objective `cutoff`: a primal-infeasible probe
+    /// proves the child empty, and an `Optimal` probe whose bound
+    /// (objective minus [`Simplex::bound_margin`], the test
+    /// [`NodeWorker::eval_node`] prunes with) closes the gap against
+    /// `cutoff` proves it cut off. Only an optimum can cut off: a capped
+    /// probe stops at a primal-infeasible iterate, outside the box the
+    /// margin is derived for. One refuted side forces a single-sided branch
+    /// the other way; two fathom the node. A cut-off side still seeds its
+    /// pseudo-cost, since its degradation is a real LP optimum.
+    fn strong_branch_probe(&mut self, x: &[f64], cutoff: f64) -> Result<ProbeResult> {
         let eta = self.options.reliability_threshold;
         let cap = self.options.strong_branch_pivot_limit;
         if eta == 0 || cap == 0 {
@@ -823,7 +839,9 @@ impl<'a> NodeWorker<'a> {
         let mut fatal: Option<MilpError> = None;
         'cands: for &(j, v) in &cands {
             let (lb, ub) = (self.lp.lb[j], self.lp.ub[j]);
-            let (mut inf_down, mut inf_up) = (false, false);
+            // Per side (down, up): `None` while the side survives, else the
+            // bound that refutes it, `+inf` for an infeasible child.
+            let mut refuted: [Option<f64>; 2] = [None, None];
             for up in [false, true] {
                 if self.options.cancelled() {
                     self.interrupted = true;
@@ -840,13 +858,16 @@ impl<'a> NodeWorker<'a> {
                 self.lp.refresh();
                 self.strong_branch_probes += 1;
                 let res = self.lp.optimize_capped(cap);
+                // Read before the node bounds return: the objective is the
+                // probe point's only while column `j` sits in the probe box.
+                let probe_obj = self.lp.objective();
                 self.lp.set_bounds(j, lb, ub);
                 match res {
                     Ok(LpStatus::Optimal) | Err(MilpError::IterationLimit { .. }) => {
                         // Optimal or capped (incl. deadline): the current
                         // objective only *under*states the degradation, the
                         // safe direction for a pseudo-cost seed.
-                        let deg = (self.lp.objective() - node_obj).max(0.0);
+                        let deg = (probe_obj - node_obj).max(0.0);
                         let frac = v - v.floor();
                         let pc = &mut self.pseudo[j];
                         if up {
@@ -856,14 +877,15 @@ impl<'a> NodeWorker<'a> {
                             pc.down_sum += deg / frac.max(1e-6);
                             pc.down_n += 1;
                         }
+                        let probe_bound = probe_obj - self.lp.bound_margin();
+                        if res.is_ok() && gap_closed(self.options, cutoff, probe_bound) {
+                            self.strong_branch_cutoffs += 1;
+                            refuted[up as usize] = Some(probe_bound);
+                        }
                     }
                     Ok(LpStatus::Infeasible) => {
                         // Primal infeasibility is cost-independent: rigorous.
-                        if up {
-                            inf_up = true;
-                        } else {
-                            inf_down = true;
-                        }
+                        refuted[up as usize] = Some(f64::INFINITY);
                     }
                     Err(MilpError::Interrupted) => {
                         self.interrupted = true;
@@ -887,18 +909,13 @@ impl<'a> NodeWorker<'a> {
                     return Ok(ProbeResult::Done);
                 }
             }
-            if inf_down && inf_up {
-                outcome = ProbeResult::Fathomed;
-                break;
-            }
-            if inf_down {
-                outcome = ProbeResult::Forced { j, v, up: true };
-                break;
-            }
-            if inf_up {
-                outcome = ProbeResult::Forced { j, v, up: false };
-                break;
-            }
+            outcome = match refuted {
+                [None, None] => continue,
+                [Some(down), Some(up)] => ProbeResult::Fathomed { bound: down.min(up) },
+                [Some(_), None] => ProbeResult::Forced { j, v, up: true },
+                [None, Some(_)] => ProbeResult::Forced { j, v, up: false },
+            };
+            break;
         }
         // Node bounds were restored per probe; reinstall the node basis for
         // the branching snapshot (slack fallback keeps the LP usable).
@@ -942,14 +959,14 @@ impl<'a> NodeWorker<'a> {
         let x = &full[..self.model.num_vars()];
         if matches!(self.options.branch_rule, BranchRule::Reliability) {
             let t0 = Instant::now();
-            let probed = self.strong_branch_probe(x);
+            let probed = self.strong_branch_probe(x, incumbent.best_obj());
             self.strong_branch_seconds += t0.elapsed().as_secs_f64();
             match probed? {
                 ProbeResult::Done => {}
-                ProbeResult::Fathomed => {
-                    // Both directions of some fractional column are primal
-                    // infeasible: no integer point in this box.
-                    return Ok((vec![], f64::INFINITY));
+                ProbeResult::Fathomed { bound } => {
+                    // Both directions of some fractional column are refuted:
+                    // no integer point in this box beats the incumbent.
+                    return Ok((vec![], bound));
                 }
                 ProbeResult::Forced { j, v, up } => {
                     // One direction refuted: branch single-sided the other
@@ -1070,6 +1087,8 @@ pub(crate) struct SearchOutcome {
     /// Strong-branching probe LPs solved (reliability rule), summed over
     /// workers.
     pub(crate) strong_branch_probes: u64,
+    /// Probe sides refuted against the incumbent, summed over workers.
+    pub(crate) strong_branch_cutoffs: u64,
     /// Seconds inside probe passes, summed over workers.
     pub(crate) strong_branch_seconds: f64,
 }
@@ -1536,6 +1555,7 @@ pub(crate) fn solve_on_form(
             symmetry_orbits,
             orbital_fixings: outcome.orbital_fixings,
             strong_branch_probes: outcome.strong_branch_probes,
+            strong_branch_cutoffs: outcome.strong_branch_cutoffs,
             strong_branch_seconds: outcome.strong_branch_seconds,
         },
     })
@@ -1639,6 +1659,7 @@ fn serial_search(
         propagation_seconds: worker.propagation_seconds,
         orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
+        strong_branch_cutoffs: worker.strong_branch_cutoffs,
         strong_branch_seconds: worker.strong_branch_seconds,
     })
 }

@@ -422,6 +422,7 @@ pub(crate) fn search(
         propagation_seconds: per_worker.iter().map(|w| w.propagation_seconds).sum(),
         orbital_fixings: per_worker.iter().map(|w| w.orbital_fixings).sum(),
         strong_branch_probes: per_worker.iter().map(|w| w.strong_branch_probes).sum(),
+        strong_branch_cutoffs: per_worker.iter().map(|w| w.strong_branch_cutoffs).sum(),
         strong_branch_seconds: per_worker.iter().map(|w| w.strong_branch_seconds).sum(),
     })
 }
@@ -443,6 +444,7 @@ struct WorkerStats {
     propagation_seconds: f64,
     orbital_fixings: u64,
     strong_branch_probes: u64,
+    strong_branch_cutoffs: u64,
     strong_branch_seconds: f64,
 }
 
@@ -561,6 +563,7 @@ fn worker_loop(shared: &SearchShared, id: usize, local: Option<Deque<OpenNode>>)
         propagation_seconds: worker.propagation_seconds,
         orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
+        strong_branch_cutoffs: worker.strong_branch_cutoffs,
         strong_branch_seconds: worker.strong_branch_seconds,
     }
 }

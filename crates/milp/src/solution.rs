@@ -115,6 +115,11 @@ pub struct SolveStats {
     pub orbital_fixings: u64,
     /// Strong-branching probe LPs solved by reliability branching.
     pub strong_branch_probes: u64,
+    /// Probe sides refuted by the incumbent: probe LPs solved to
+    /// optimality whose bound closes the gap against the incumbent, so the
+    /// search never builds that child. Summed over workers; `0` under every
+    /// other branch rule and before the first incumbent.
+    pub strong_branch_cutoffs: u64,
     /// Wall seconds inside reliability branching's probe passes: the probe
     /// LPs, the re-seats and rollbacks between them. It overlaps the
     /// simplex, factorization and other time (see the struct docs), and

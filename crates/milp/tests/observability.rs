@@ -175,6 +175,30 @@ fn strong_branch_seconds_cover_only_probe_passes() {
     );
 }
 
+/// Probe sides refuted by the incumbent are counted: never without
+/// probes, and at least once on a reliability solve warm-started at its own
+/// optimum, where no probe side can beat the incumbent.
+#[test]
+fn strong_branch_cutoffs_count_probe_sides_refuted_by_the_incumbent() {
+    let model = hard_knapsack(14);
+    let opts = |rule: BranchRule| SolverOptions::default().threads(1).branch_rule(rule);
+    let plain = model.solve_with(&opts(BranchRule::MostFractional)).unwrap();
+    assert_eq!(plain.stats().strong_branch_cutoffs, 0);
+    let optimum = model.solve_with(&opts(BranchRule::Reliability)).unwrap();
+    assert_eq!(optimum.status(), SolveStatus::Optimal);
+    let mut warm = model.clone();
+    warm.set_warm_start(optimum.values().to_vec()).unwrap();
+    let sol = warm.solve_with(&opts(BranchRule::Reliability)).unwrap();
+    assert_eq!(sol.objective_value(), optimum.objective_value());
+    let st = sol.stats();
+    assert!(
+        st.strong_branch_cutoffs > 0 && st.strong_branch_cutoffs <= st.strong_branch_probes,
+        "{} cutoffs for {} probes",
+        st.strong_branch_cutoffs,
+        st.strong_branch_probes
+    );
+}
+
 #[test]
 fn stats_buckets_are_consistent() {
     let opts = SolverOptions::default().threads(1);

@@ -5,11 +5,15 @@
 //! permutation) and check the lex-leader rows plus orbital fixing never cut
 //! off the optimum the brute-force oracle finds. The reliability proptests
 //! run the plain random generator: strong-branching probes only reshape the
-//! tree, so the proven optimum must match enumeration exactly.
+//! tree, and a probe side refuted by the incumbent holds no better point,
+//! so the proven optimum must match enumeration exactly.
 
 mod common;
 
-use common::{brute_force, build_binary, random_milp, recording_observer, RandomMilp};
+use common::{
+    brute_force, build_binary, feasible_points, objective_of, random_milp, recording_observer,
+    RandomMilp,
+};
 use ndp_milp::{BranchRule, LinExpr, Model, Objective, SolveStatus, SolverOptions};
 use proptest::prelude::*;
 
@@ -120,6 +124,56 @@ proptest! {
                     "solver {} vs enumeration {}", sol.objective_value(), best);
             }
             None => prop_assert_eq!(sol.status(), SolveStatus::Infeasible),
+        }
+    }
+}
+
+proptest! {
+    // Most of these instances close at the root; with the root accelerators
+    // off about a fifth of the solves probe, so this block runs more cases.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A probe side whose LP optimum meets the incumbent is refuted, so a
+    /// wrong refutation would cut off a better point. From a warm start
+    /// that is feasible but strictly worse than the optimum (the nearest
+    /// worse objective, the tightest such cutoff), reliability branching
+    /// still proves the enumerated optimum, serially and on the parallel
+    /// path, where workers share the incumbent. Presolve, root cuts and the
+    /// root dive are off so the search rests on branching.
+    #[test]
+    fn reliability_cutoffs_keep_every_optimum(milp in random_milp()) {
+        let (mut model, _) = build_binary(&milp);
+        let best = brute_force(&milp);
+        let worse = |v: f64, b: f64| if milp.maximize { v < b } else { v > b };
+        if let Some(b) = best {
+            let warm = feasible_points(&milp)
+                .into_iter()
+                .filter(|x| worse(objective_of(&milp, x), b))
+                .min_by(|x, y| {
+                    let gap = |p: &Vec<f64>| (objective_of(&milp, p) - b).abs();
+                    gap(x).total_cmp(&gap(y))
+                });
+            if let Some(x) = warm {
+                model.set_warm_start(x).unwrap();
+            }
+        }
+        for threads in [1, 2] {
+            let opts = SolverOptions::default()
+                .presolve(false)
+                .cuts(false)
+                .heuristics(false)
+                .branch_rule(BranchRule::Reliability)
+                .threads(threads);
+            let sol = model.solve_with(&opts).unwrap();
+            match best {
+                Some(b) => {
+                    prop_assert_eq!(sol.status(), SolveStatus::Optimal);
+                    prop_assert!((sol.objective_value() - b).abs() <= 1e-6,
+                        "threads {}: solver {} vs enumeration {}",
+                        threads, sol.objective_value(), b);
+                }
+                None => prop_assert_eq!(sol.status(), SolveStatus::Infeasible),
+            }
         }
     }
 }

@@ -165,14 +165,14 @@ impl Mesh2D {
     ///
     /// Panics if the nodes are not mesh-adjacent.
     pub fn link_index(&self, from: NodeId, to: NodeId) -> usize {
+        let cf = self.coord(from);
+        let ct = self.coord(to);
         assert_eq!(
-            self.manhattan_distance(from, to),
+            cf.x.abs_diff(ct.x) + cf.y.abs_diff(ct.y),
             1,
             "link must connect adjacent nodes ({from} -> {to})"
         );
         // 4 slots per source node: E, W, S, N.
-        let cf = self.coord(from);
-        let ct = self.coord(to);
         let dir = if ct.x == cf.x + 1 {
             0
         } else if ct.x + 1 == cf.x {
@@ -268,6 +268,50 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for l in m.links() {
             assert!(seen.insert(m.link_index(l.from, l.to)));
+        }
+    }
+
+    /// `link_index` against index arithmetic on every directed link of
+    /// every mesh up to 8×8: S, N, E, W are `+cols`, `−cols`, `+1`, `−1`
+    /// (vertical first, since `+1` is `+cols` on a one-column mesh).
+    #[test]
+    fn link_index_matches_the_reference_formula() {
+        for cols in 1..=8 {
+            for rows in 1..=8 {
+                let m = Mesh2D::new(cols, rows).unwrap();
+                for l in m.links() {
+                    let (a, b) = (l.from.0, l.to.0);
+                    let dir = if b == a + cols {
+                        2
+                    } else if b + cols == a {
+                        3
+                    } else if b == a + 1 {
+                        0
+                    } else {
+                        assert_eq!(b + 1, a, "{cols}x{rows}: {a} -> {b} is no link");
+                        1
+                    };
+                    assert_eq!(
+                        m.link_index(l.from, l.to),
+                        4 * a + dir,
+                        "{cols}x{rows}: {a} -> {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pairs that are not links still panic: a node with itself, a
+    /// diagonal step, two hops along a row, and the index step across a
+    /// row's end, whose index difference is that of an E/W link.
+    #[test]
+    fn link_index_panics_for_every_kind_of_non_adjacent_pair() {
+        let m = Mesh2D::new(4, 3).unwrap();
+        for (a, b) in [(5, 5), (0, 5), (5, 0), (0, 2), (3, 4), (4, 3)] {
+            let r = std::panic::catch_unwind(|| m.link_index(NodeId(a), NodeId(b)));
+            let msg = r.expect_err("non-adjacent pair must panic");
+            let msg = msg.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("link must connect adjacent nodes"), "{a} -> {b}: {msg}");
         }
     }
 
