@@ -10,11 +10,9 @@ fn branch_rules(c: &mut Criterion) {
     let problem = InstanceSpec::new(3, 2, 2.0, 5).build();
     let mut group = c.benchmark_group("milp-branch-rule");
     group.sample_size(10);
-    for (name, rule) in [
-        ("most-fractional", BranchRule::MostFractional),
-        ("first-fractional", BranchRule::FirstFractional),
-        ("pseudo-cost", BranchRule::PseudoCost),
-    ] {
+    for (name, rule) in
+        [("most-fractional", BranchRule::MostFractional), ("reliability", BranchRule::Reliability)]
+    {
         let cfg = OptimalConfig {
             solver: SolverOptions::default().time_limit(4.0).branch_rule(rule),
             ..OptimalConfig::default()

@@ -1,5 +1,5 @@
 //! Basis-kernel and node-LP microbench: dense inverse vs sparse LU, warm
-//! vs cold node starts, and the three leaving-row pricing rules.
+//! vs cold node starts, and the two leaving-row pricing rules.
 //!
 //! Default mode solves the same fixed deployment instance(s) once per
 //! kernel and reports wall time, branch-and-bound nodes, pivots and
@@ -9,10 +9,10 @@
 //!
 //! ```text
 //! basis_kernel [--tasks M] [--seconds S] [--seed K] [--instances I]
-//!              [--pricing dse|devex|dantzig] [--node-order dfs|best-bound]
+//!              [--pricing dse|dantzig] [--node-order dfs|best-bound]
 //!              [--warm on|off] [--cuts on|off] [--heuristics on|off]
 //!              [--propagation on|off]
-//!              [--branch-rule most-frac|first-frac|pseudo|reliability]
+//!              [--branch-rule most-frac|reliability]
 //!              [--symmetry on|off] [--json PATH] [--append-json PATH]
 //!              [--ablation] [--cuts-ablation] [--heuristics-ablation]
 //!              [--symmetry-ablation] [--trace]
@@ -290,7 +290,7 @@ fn ablation(
     let mut ok = true;
     let mut objective: Option<f64> = None;
     for kernel in [BasisKernel::SparseLu, BasisKernel::Dense] {
-        for pricing in [Pricing::SteepestEdge, Pricing::Devex, Pricing::Dantzig] {
+        for pricing in [Pricing::SteepestEdge, Pricing::Dantzig] {
             let mut pivots = [0u64; 2]; // [warm, cold]
             for (slot, warm) in [(0usize, true), (1usize, false)] {
                 let r = run(
@@ -665,7 +665,7 @@ fn main() {
             "--instances" => instances = val.parse().expect("--instances takes an integer"),
             "--pricing" => {
                 pricing = parse_pricing(val).unwrap_or_else(|| {
-                    eprintln!("--pricing takes dse|devex|dantzig");
+                    eprintln!("--pricing takes dse|dantzig");
                     std::process::exit(2);
                 })
             }
@@ -681,7 +681,7 @@ fn main() {
             "--propagation" => accel.propagation = on_off("--propagation", val),
             "--branch-rule" => {
                 search.branch = parse_branch_rule(val).unwrap_or_else(|| {
-                    eprintln!("--branch-rule takes most-frac|first-frac|pseudo|reliability");
+                    eprintln!("--branch-rule takes most-frac|reliability");
                     std::process::exit(2);
                 })
             }

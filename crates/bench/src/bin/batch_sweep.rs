@@ -36,7 +36,7 @@ use ndp_bench::{
     append_bench_json, exact_solver_options, node_order_name, pricing_name, BenchRecord,
 };
 use ndp_core::{BatchSession, DeployObjective, OptimalConfig, ProblemInstance};
-use ndp_milp::{BasisKernel, SolverOptions};
+use ndp_milp::{BasisKernel, BranchRule, SolverOptions};
 use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
 use ndp_platform::Platform;
 use ndp_taskset::{generate, GeneratorConfig, GraphShape};
@@ -200,7 +200,10 @@ fn full_sweep(
 /// member per seed so the gate also exercises the memo cache.
 fn smoke_family() -> Vec<(Arc<ProblemInstance>, OptimalConfig)> {
     let quick = || OptimalConfig {
-        solver: SolverOptions::default().time_limit(20.0).threads(1),
+        solver: SolverOptions::default()
+            .time_limit(20.0)
+            .threads(1)
+            .branch_rule(BranchRule::MostFractional),
         ..OptimalConfig::default()
     };
     let mut members = Vec::new();

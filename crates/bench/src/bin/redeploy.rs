@@ -29,7 +29,7 @@ use ndp_bench::{append_bench_json, BenchRecord, InstanceSpec};
 use ndp_core::{
     DeploymentSession, EventDisposition, OptimalConfig, OptimalOutcome, PathMode, ScenarioEvent,
 };
-use ndp_milp::{SolveStatus, SolverOptions};
+use ndp_milp::{BranchRule, SolveStatus, SolverOptions};
 use ndp_platform::ProcessorId;
 use ndp_taskset::{Task, TaskId};
 use std::time::Instant;
@@ -109,7 +109,8 @@ fn scenario(session: &DeploymentSession) -> Vec<(&'static str, ScenarioEvent)> {
 }
 
 fn config(budget: f64) -> OptimalConfig {
-    let mut solver = SolverOptions::default().time_limit(budget);
+    let mut solver =
+        SolverOptions::default().time_limit(budget).branch_rule(BranchRule::MostFractional);
     // Serial + tight gap: both arms must land on the same proven optimum,
     // so the comparison is answer-for-answer, not just wall-clock.
     solver.threads = 1;

@@ -11,7 +11,7 @@
 //! workers interleave and throughput stays flat.
 //!
 //! ```text
-//! solver_threads [--pricing dse|devex|dantzig] [--warm on|off]
+//! solver_threads [--pricing dse|dantzig] [--warm on|off]
 //!                [--cuts on|off] [--json PATH] [--trace]
 //! ```
 //!
@@ -26,7 +26,7 @@ use ndp_bench::{
     parse_pricing, pricing_name, trace_observer, write_bench_json, BenchRecord, InstanceSpec,
 };
 use ndp_core::OptimalConfig;
-use ndp_milp::{Pricing, SolverOptions};
+use ndp_milp::{BranchRule, Pricing, SolverOptions};
 
 fn main() {
     let mut trace = false;
@@ -49,7 +49,7 @@ fn main() {
         match args[i].as_str() {
             "--pricing" => {
                 pricing = parse_pricing(val).unwrap_or_else(|| {
-                    eprintln!("--pricing takes dse|devex|dantzig");
+                    eprintln!("--pricing takes dse|dantzig");
                     std::process::exit(2);
                 })
             }
@@ -105,6 +105,7 @@ fn main() {
         for &seed in &seeds {
             let problem = InstanceSpec::new(5, 2, 2.0, seed).build();
             let mut solver = SolverOptions::default()
+                .branch_rule(BranchRule::MostFractional)
                 .time_limit(time_limit)
                 .threads(threads)
                 .pricing(pricing)

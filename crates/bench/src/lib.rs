@@ -28,7 +28,9 @@ use ndp_core::{
     BatchOutcome, CommTimeModel, Deployment, DeploymentSession, OptimalConfig, OptimalOutcome,
     ProblemInstance,
 };
-use ndp_milp::{NodeOrder, Observer, Pricing, SolveStats, SolveStatus, SolverEvent, SolverOptions};
+use ndp_milp::{
+    BranchRule, NodeOrder, Observer, Pricing, SolveStats, SolveStatus, SolverEvent, SolverOptions,
+};
 use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
 use ndp_platform::{Platform, PowerModel, PowerParams, ReliabilityParams, VfTable};
 use ndp_taskset::{generate, GeneratorConfig};
@@ -136,8 +138,13 @@ pub fn trace_observer() -> Arc<dyn Observer> {
 }
 
 /// Default per-solve budget for the exact arm.
+///
+/// The figure harness and the CI gates (`fig2*`, `batch_sweep`,
+/// `redeploy`, `solver_threads`) branch most-fractional, not on the
+/// library default: their figures and gates keep their recorded history
+/// until the figures are regenerated on the product's solver.
 pub fn exact_solver_options() -> SolverOptions {
-    let mut o = SolverOptions::default().time_limit(6.0);
+    let mut o = SolverOptions::default().time_limit(6.0).branch_rule(BranchRule::MostFractional);
     o.relative_gap = 1e-4;
     // The figure harness already fans out across seeds (`per_seed`); keep
     // each individual solve serial so a sweep doesn't oversubscribe the
@@ -288,12 +295,10 @@ where
     ndp_milp::run_batch(seeds.len(), move |i| f(seeds[i]))
 }
 
-/// Parses a `--pricing` flag value (`dse`/`steepest-edge`, `devex`,
-/// `dantzig`).
+/// Parses a `--pricing` flag value (`dse`/`steepest-edge`, `dantzig`).
 pub fn parse_pricing(s: &str) -> Option<Pricing> {
     match s {
         "dse" | "steepest-edge" => Some(Pricing::SteepestEdge),
-        "devex" => Some(Pricing::Devex),
         "dantzig" => Some(Pricing::Dantzig),
         _ => None,
     }
@@ -303,7 +308,6 @@ pub fn parse_pricing(s: &str) -> Option<Pricing> {
 pub fn pricing_name(p: Pricing) -> &'static str {
     match p {
         Pricing::SteepestEdge => "dse",
-        Pricing::Devex => "devex",
         Pricing::Dantzig => "dantzig",
     }
 }
@@ -326,25 +330,20 @@ pub fn node_order_name(o: NodeOrder) -> &'static str {
     }
 }
 
-/// Parses a `--branch-rule` flag value (`most-frac`, `first-frac`,
-/// `pseudo`/`pseudo-cost`, `reliability`).
-pub fn parse_branch_rule(s: &str) -> Option<ndp_milp::BranchRule> {
+/// Parses a `--branch-rule` flag value (`most-frac`, `reliability`).
+pub fn parse_branch_rule(s: &str) -> Option<BranchRule> {
     match s {
-        "most-frac" | "most-fractional" => Some(ndp_milp::BranchRule::MostFractional),
-        "first-frac" | "first-fractional" => Some(ndp_milp::BranchRule::FirstFractional),
-        "pseudo" | "pseudo-cost" => Some(ndp_milp::BranchRule::PseudoCost),
-        "reliability" => Some(ndp_milp::BranchRule::Reliability),
+        "most-frac" | "most-fractional" => Some(BranchRule::MostFractional),
+        "reliability" => Some(BranchRule::Reliability),
         _ => None,
     }
 }
 
 /// Short machine-readable name of a branch rule for bench tables/JSON.
-pub fn branch_rule_name(r: ndp_milp::BranchRule) -> &'static str {
+pub fn branch_rule_name(r: BranchRule) -> &'static str {
     match r {
-        ndp_milp::BranchRule::MostFractional => "most-frac",
-        ndp_milp::BranchRule::FirstFractional => "first-frac",
-        ndp_milp::BranchRule::PseudoCost => "pseudo",
-        ndp_milp::BranchRule::Reliability => "reliability",
+        BranchRule::MostFractional => "most-frac",
+        BranchRule::Reliability => "reliability",
     }
 }
 
@@ -356,7 +355,7 @@ pub struct BenchRecord {
     pub instance: String,
     /// Basis kernel (`dense` / `sparse-lu`).
     pub kernel: String,
-    /// Pricing rule (`dse` / `devex` / `dantzig`).
+    /// Pricing rule (`dse` / `dantzig`; `devex` in older records).
     pub pricing: String,
     /// Branch-and-bound node order (`dfs` / `best-bound`).
     pub node_order: String,
@@ -420,9 +419,9 @@ pub struct BenchRecord {
     /// For sweep-level records: end-to-end wall-clock of the full sweep
     /// this record belongs to. `None` for per-solve records.
     pub sweep_wall_seconds: Option<f64>,
-    /// Branch rule of the solve (`most-frac` / `first-frac` / `pseudo` /
-    /// `reliability`). `None` (serialized as `null`) for records written
-    /// before the field existed or where the rule is not meaningful.
+    /// Branch rule of the solve (`most-frac` / `reliability`). `None`
+    /// (serialized as `null`) for records written before the field existed
+    /// or where the rule is not meaningful.
     pub branch_rule: Option<String>,
     /// Symmetry handling (lex rows + orbital fixing) was enabled *and*
     /// candidates were supplied. `None` (`null`) when not applicable.
@@ -606,12 +605,11 @@ mod tests {
 
     #[test]
     fn branch_rule_names_roundtrip() {
-        use ndp_milp::BranchRule::{FirstFractional, MostFractional, PseudoCost, Reliability};
-        for r in [MostFractional, FirstFractional, PseudoCost, Reliability] {
+        use ndp_milp::BranchRule::{MostFractional, Reliability};
+        for r in [MostFractional, Reliability] {
             assert_eq!(parse_branch_rule(branch_rule_name(r)), Some(r));
         }
         assert_eq!(parse_branch_rule("most-fractional"), Some(MostFractional));
-        assert_eq!(parse_branch_rule("pseudo-cost"), Some(PseudoCost));
         assert!(parse_branch_rule("bogus").is_none());
     }
 
@@ -688,7 +686,7 @@ mod tests {
         let r = BenchRecord {
             instance: "M9-N4-seed1".into(),
             kernel: "dense".into(),
-            pricing: "devex".into(),
+            pricing: "dantzig".into(),
             node_order: "best-bound".into(),
             warm_start: false,
             cuts: false,
@@ -816,10 +814,9 @@ mod tests {
     fn pricing_parses_all_names() {
         assert_eq!(parse_pricing("dse"), Some(Pricing::SteepestEdge));
         assert_eq!(parse_pricing("steepest-edge"), Some(Pricing::SteepestEdge));
-        assert_eq!(parse_pricing("devex"), Some(Pricing::Devex));
         assert_eq!(parse_pricing("dantzig"), Some(Pricing::Dantzig));
         assert_eq!(parse_pricing("bogus"), None);
-        for p in [Pricing::SteepestEdge, Pricing::Devex, Pricing::Dantzig] {
+        for p in [Pricing::SteepestEdge, Pricing::Dantzig] {
             assert_eq!(parse_pricing(pricing_name(p)), Some(p));
         }
     }

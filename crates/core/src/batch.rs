@@ -62,25 +62,13 @@ use ndp_milp::{run_batch, CancelToken, IncumbentFeed, SolveStatus, SolverOptions
 fn trajectory_digest(s: &SolverOptions) -> u64 {
     let mut h = Fnv64::with_state(0x9e37_79b9_7f4a_7c15);
     h.write_f64(s.time_limit);
-    for v in [
-        s.node_limit,
-        s.simplex_iteration_limit,
-        s.threads,
-        s.refactor_interval,
-        s.eta_limit,
-        s.max_cut_rounds,
-        s.cut_node_interval,
-        s.reliability_threshold as usize,
-        s.strong_branch_pivot_limit,
-    ] {
+    for v in [s.node_limit, s.threads, s.cut_node_interval] {
         h.write_u64(v as u64);
     }
     let bools = [
         s.warm_start,
         s.presolve,
         s.cuts,
-        s.gomory_cuts,
-        s.cover_cuts,
         s.heuristics,
         s.propagation,
         s.symmetry_breaking,
@@ -625,28 +613,20 @@ mod tests {
         let flips = [
             ("time_limit", b().time_limit(6.0)),
             ("node_limit", b().node_limit(10)),
-            ("simplex_iteration_limit", b().simplex_iteration_limit(7)),
             ("threads", b().threads(2)),
-            ("refactor_interval", SolverOptions { refactor_interval: 64, ..b() }),
-            ("eta_limit", b().eta_limit(32)),
-            ("max_cut_rounds", b().max_cut_rounds(3)),
             ("cut_node_interval", b().cut_node_interval(2)),
-            ("reliability_threshold", b().reliability_threshold(4)),
-            ("strong_branch_pivot_limit", b().strong_branch_pivot_limit(9)),
             ("warm_start", b().warm_start(false)),
             ("presolve", b().presolve(false)),
             ("cuts", b().cuts(false)),
-            ("gomory_cuts", b().gomory_cuts(false)),
-            ("cover_cuts", b().cover_cuts(false)),
             ("heuristics", b().heuristics(false)),
             ("propagation", b().propagation(false)),
             ("symmetry_breaking", b().symmetry_breaking(false)),
             ("orbital_fixing", b().orbital_fixing(false)),
             ("symmetry_candidates", b().symmetry_candidates(vec![vec![1, 0]])),
-            ("branch_rule", b().branch_rule(BranchRule::Reliability)),
+            ("branch_rule", b().branch_rule(BranchRule::MostFractional)),
             ("node_order", b().node_order(NodeOrder::BestBound)),
             ("basis_kernel", b().basis_kernel(BasisKernel::Dense)),
-            ("pricing", b().pricing(Pricing::Devex)),
+            ("pricing", b().pricing(Pricing::Dantzig)),
         ];
         let mut seen = std::collections::HashSet::from([trajectory_digest(&base)]);
         for (knob, o) in &flips {

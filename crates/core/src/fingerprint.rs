@@ -52,7 +52,9 @@ pub fn model_fingerprint(model: &Model, solver: &SolverOptions) -> u64 {
     h.write_f64(solver.feasibility_tol);
     h.write_f64(solver.relative_gap);
     h.write_f64(solver.absolute_gap);
-    h.write_f64(solver.infinite_bound);
+    // The solver's working infinite bound (bounds clamp to ±1e9). A fixed
+    // value adds nothing to the key, but folding it keeps existing keys.
+    h.write_f64(1e9);
     h.finish()
 }
 

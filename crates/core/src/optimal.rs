@@ -12,7 +12,7 @@ use crate::heuristic::heuristic_deployment;
 use crate::problem::ProblemInstance;
 use crate::solution::Deployment;
 use crate::validate::is_valid;
-use ndp_milp::{BranchRule, ObserverHandle, SolveStats, SolveStatus, SolverOptions};
+use ndp_milp::{ObserverHandle, SolveStats, SolveStatus, SolverOptions};
 
 /// Configuration of an exact solve.
 #[derive(Debug, Clone)]
@@ -28,7 +28,10 @@ pub struct OptimalConfig {
     /// optimum when solving the multi-path model). The better of this and
     /// the heuristic seed is used.
     pub warm_start_deployment: Option<Deployment>,
-    /// Options forwarded to the MILP solver.
+    /// Options forwarded to the MILP solver (default:
+    /// [`SolverOptions::default()`]). Its reliability branching pays for
+    /// itself on deployment MILPs, whose early duplication/allocation
+    /// choices dominate the tree shape.
     pub solver: SolverOptions,
 }
 
@@ -39,11 +42,7 @@ impl Default for OptimalConfig {
             objective: DeployObjective::BalanceEnergy,
             warm_start_with_heuristic: true,
             warm_start_deployment: None,
-            // The exact arm defaults to reliability branching: the
-            // strong-branching lookahead pays for itself on deployment
-            // MILPs, whose early duplication/allocation choices dominate
-            // the tree shape.
-            solver: SolverOptions::default().branch_rule(BranchRule::Reliability),
+            solver: SolverOptions::default(),
         }
     }
 }
@@ -173,6 +172,12 @@ mod tests {
 
     fn quick_solver() -> SolverOptions {
         SolverOptions::default().time_limit(20.0)
+    }
+
+    /// One solver: the exact arm runs the library's default options.
+    #[test]
+    fn the_exact_arm_runs_the_default_solver() {
+        assert_eq!(OptimalConfig::default().solver, SolverOptions::default());
     }
 
     #[test]

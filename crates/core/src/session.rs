@@ -143,9 +143,10 @@ impl DeploymentSessionBuilder {
         self
     }
 
-    /// Options forwarded to the MILP solver. Presolve is forced off inside
-    /// the session (carried solver state must stay aligned with the
-    /// model's own columns).
+    /// Options forwarded to the MILP solver (default:
+    /// [`SolverOptions::default()`], reliability branching). Presolve is
+    /// forced off inside the session (carried solver state must stay
+    /// aligned with the model's own columns).
     pub fn solver(mut self, solver: SolverOptions) -> Self {
         self.solver = solver;
         self

@@ -1,21 +1,11 @@
-//! Batch solve engine: pool-scheduled fan-out over families of related
-//! solves, with shared presolve/standardization artifacts.
+//! Batch solve engine: [`run_batch`], a work-stealing scatter over `n`
+//! independent jobs.
 //!
-//! Two pieces live here:
-//!
-//! * [`run_batch`] — a work-stealing scatter over `n` independent jobs.
-//!   One shared atomic cursor hands out job indices; the calling thread
-//!   drains jobs itself while helper drainers run as **revocable tasks** on
-//!   the process-global [`crate::pool`]. There are no chunk barriers: a
-//!   slow job delays only itself, every other core keeps pulling work.
-//!   Results come back in job-index order, so output determinism is free.
-//! * [`PreparedModel`] — the *shared-artifact* half. Preparing a model runs
-//!   NaN validation, presolve and standardization **once**; every member
-//!   solve of a batch then clones the prepared standard form (an `O(nnz)`
-//!   memcpy instead of a rebuild) and enters branch and bound directly.
-//!   Per-member warm starts and [`IncumbentFeed`](crate::IncumbentFeed)s
-//!   are translated through the stored presolve reduction, so racing a
-//!   prepared solve behaves exactly like racing `Model::solve_with`.
+//! One shared atomic cursor hands out job indices; the calling thread
+//! drains jobs itself while helper drainers run as **revocable tasks** on
+//! the process-global [`crate::pool`]. There are no chunk barriers: a slow
+//! job delays only itself, every other core keeps pulling work. Results
+//! come back in job-index order, so output determinism is free.
 //!
 //! Batch scheduling composes with the parallel search: a member solve with
 //! `threads ≥ 2` submits its own helper tasks to the same pool, and because
@@ -26,19 +16,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::branch::{solve_constant, solve_on_form, validate_nan};
-use crate::error::Result;
-use crate::events::{SolverEvent, TerminationReason};
-use crate::model::Model;
-use crate::options::SolverOptions;
 use crate::pool as global_pool;
-use crate::presolve::{presolve, Presolved, Reduction};
-use crate::solution::{Solution, SolveStats, SolveStatus};
-use crate::standard::StandardForm;
 
 /// Shared state of one [`run_batch`] scatter.
 struct BatchState<T, F> {
@@ -150,194 +131,10 @@ where
     results.drain(..).map(|r| r.expect("every completed job parked a result")).collect()
 }
 
-/// A model standardized once and solved many times.
-///
-/// [`PreparedModel::new`] runs the per-model pipeline that
-/// [`Model::solve_with`] repeats on every call — NaN validation, presolve,
-/// standard-form construction — and keeps the artifacts. Each
-/// [`PreparedModel::solve`] then costs one standard-form clone plus the
-/// branch-and-bound search itself, which is what makes solving one model
-/// under many option sets (portfolio arms, ablation grids, config sweeps)
-/// cheap. `solve` takes `&self` and is safe to call concurrently from
-/// [`run_batch`] jobs.
-///
-/// Per-solve knobs (limits, tokens, observers, feeds, node order…) may
-/// vary freely between members. Knobs consumed at preparation time —
-/// `presolve`, the tolerances and `infinite_bound` baked into the standard
-/// form — are fixed by the options given to `new`.
-pub struct PreparedModel {
-    /// The model member solves actually search (presolve-reduced when the
-    /// reductions shrank it).
-    model: Model,
-    /// Mapping between the original and reduced spaces, when presolve
-    /// shrank the model.
-    reduction: Option<Arc<Reduction>>,
-    /// Standard form of `model`; `None` when presolve already answered
-    /// (infeasible) or the model has no variables.
-    sf: Option<StandardForm>,
-    /// The model was proven infeasible at preparation time.
-    infeasible: bool,
-    /// Presolve counters replayed into each member's event stream.
-    eliminated_vars: usize,
-    eliminated_rows: usize,
-    /// Integrality/feasibility tolerance used for warm-start mapping.
-    map_tol: f64,
-    /// Seconds spent preparing (reported once here, not per member).
-    prepare_seconds: f64,
-}
-
-impl PreparedModel {
-    /// Prepares `model` under `options`: validates, presolves (when
-    /// `options.presolve`) and standardizes once.
-    ///
-    /// # Errors
-    ///
-    /// [`MilpError::NotANumber`](crate::MilpError::NotANumber) if any
-    /// objective or constraint coefficient is NaN.
-    pub fn new(model: &Model, options: &SolverOptions) -> Result<Self> {
-        let start = Instant::now();
-        validate_nan(model)?;
-        let map_tol = options.integrality_tol.max(options.feasibility_tol);
-        let mut prepared = PreparedModel {
-            model: model.clone(),
-            reduction: None,
-            sf: None,
-            infeasible: false,
-            eliminated_vars: 0,
-            eliminated_rows: 0,
-            map_tol,
-            prepare_seconds: 0.0,
-        };
-        if model.num_vars() == 0 {
-            prepared.prepare_seconds = start.elapsed().as_secs_f64();
-            return Ok(prepared);
-        }
-        if options.presolve {
-            match presolve(model, options.feasibility_tol)? {
-                Presolved::Infeasible => {
-                    prepared.infeasible = true;
-                    prepared.eliminated_vars = model.num_vars();
-                    prepared.eliminated_rows = model.num_constraints();
-                    prepared.prepare_seconds = start.elapsed().as_secs_f64();
-                    return Ok(prepared);
-                }
-                Presolved::Reduced(red) => {
-                    let eliminated_vars = red.eliminated_vars();
-                    let eliminated_rows =
-                        model.num_constraints().saturating_sub(red.model.num_constraints());
-                    if eliminated_vars > 0 || eliminated_rows > 0 {
-                        prepared.eliminated_vars = eliminated_vars;
-                        prepared.eliminated_rows = eliminated_rows;
-                        prepared.model = red.model.clone();
-                        prepared.reduction = Some(Arc::new(red));
-                    }
-                }
-            }
-        }
-        if prepared.model.num_vars() > 0 {
-            prepared.sf = Some(StandardForm::from_model(&prepared.model, options));
-        }
-        prepared.prepare_seconds = start.elapsed().as_secs_f64();
-        Ok(prepared)
-    }
-
-    /// Seconds [`PreparedModel::new`] spent validating, presolving and
-    /// standardizing — the cost every member solve now skips.
-    pub fn prepare_seconds(&self) -> f64 {
-        self.prepare_seconds
-    }
-
-    /// Whether preparation already proved the model infeasible (member
-    /// solves return instantly).
-    pub fn proven_infeasible(&self) -> bool {
-        self.infeasible
-    }
-
-    /// Solves the prepared model under `options`, optionally seeded with a
-    /// warm-start point `warm` in the **original** model's column space
-    /// (it is mapped through the presolve reduction like
-    /// [`Model::set_warm_start`] would be).
-    ///
-    /// Equivalent to `Model::solve_with` on the original model with the
-    /// same options and warm start — same status, objective and values —
-    /// minus the repeated presolve/standardization work. `options.presolve`
-    /// is ignored here (that decision was consumed by `new`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates numerical failures from the search, exactly like
-    /// [`Model::solve_with`].
-    pub fn solve(&self, options: &SolverOptions, warm: Option<&[f64]>) -> Result<Solution> {
-        let start = Instant::now();
-        // Replay the presolve event so member streams keep the canonical
-        // `presolve → root → …` shape.
-        if options.presolve {
-            let (ev, er) = (self.eliminated_vars, self.eliminated_rows);
-            options
-                .observer
-                .emit(|| SolverEvent::Presolve { eliminated_vars: ev, eliminated_rows: er });
-        }
-        if self.infeasible {
-            options.observer.emit(|| SolverEvent::Terminated {
-                status: SolveStatus::Infeasible,
-                reason: TerminationReason::ProvenInfeasible,
-            });
-            let total = start.elapsed().as_secs_f64();
-            return Ok(Solution {
-                status: SolveStatus::Infeasible,
-                values: vec![],
-                objective: f64::NAN,
-                best_bound: f64::NAN,
-                nodes: 0,
-                nodes_per_thread: vec![],
-                simplex_iterations: 0,
-                solve_seconds: total,
-                stats: SolveStats { total_seconds: total, ..SolveStats::default() },
-            });
-        }
-        let Some(sf) = &self.sf else {
-            return Ok(solve_constant(&self.model, options, start));
-        };
-
-        let mut opts = options.clone();
-        // Feeds publish in the original column space; translate them into
-        // the reduced space the prepared search runs in.
-        if let Some(red) = &self.reduction {
-            if let Some(feed) = opts.incumbent_feed.take() {
-                let map_red = Arc::clone(red);
-                let tol = self.map_tol;
-                opts.incumbent_feed =
-                    Some(feed.mapped(Arc::new(move |p: &[f64]| map_red.presolve_point(p, tol))));
-            }
-        }
-
-        // Per-member warm start, mapped into the prepared space.
-        let mut member = self.model.clone();
-        if let Some(point) = warm {
-            let mapped = match &self.reduction {
-                Some(red) => red.presolve_point(point, self.map_tol),
-                None => Some(point.to_vec()),
-            };
-            if let Some(ws) = mapped {
-                let _ = member.set_warm_start(ws);
-            }
-        }
-
-        let sol = solve_on_form(&member, &opts, sf.clone(), None, None, None, start, 0.0)?;
-        let Some(red) = &self.reduction else {
-            return Ok(sol);
-        };
-        // Postsolve back into the original column space (mirrors the
-        // reduced branch of the one-shot solve pipeline).
-        let values = if sol.has_incumbent() { red.postsolve(sol.values()) } else { vec![] };
-        Ok(Solution { values, ..sol })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IncumbentFeed, LinExpr, Objective};
+    use crate::{IncumbentFeed, LinExpr, Model, Objective, SolveStatus, SolverOptions};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -395,80 +192,6 @@ mod tests {
         m
     }
 
-    /// A model presolve genuinely shrinks: a fixed variable and a forcing
-    /// row alongside the free part.
-    fn reducible() -> Model {
-        let mut m = Model::new("red");
-        let fixed = m.continuous("fixed", 2.0, 2.0).unwrap();
-        let x = m.binary("x");
-        let y = m.binary("y");
-        m.add_le("cap", LinExpr::term(x, 2.0) + LinExpr::term(y, 3.0) + LinExpr::from(fixed), 6.0);
-        m.set_objective(
-            Objective::Maximize,
-            LinExpr::term(x, 1.0) + LinExpr::term(y, 2.0) + LinExpr::from(fixed),
-        );
-        m
-    }
-
-    #[test]
-    fn prepared_solve_matches_direct_solve() {
-        for (name, model) in [("knapsack", knapsack()), ("reducible", reducible())] {
-            let opts = SolverOptions::default();
-            let direct = model.solve_with(&opts).unwrap();
-            let prepared = PreparedModel::new(&model, &opts).unwrap();
-            for _ in 0..2 {
-                let sol = prepared.solve(&opts, None).unwrap();
-                assert_eq!(sol.status(), direct.status(), "{name}");
-                assert!(
-                    (sol.objective_value() - direct.objective_value()).abs() < 1e-9,
-                    "{name}: {} vs {}",
-                    sol.objective_value(),
-                    direct.objective_value()
-                );
-                assert_eq!(sol.values(), direct.values(), "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_infeasible_short_circuits_members() {
-        let mut m = Model::new("inf");
-        let x = m.continuous("x", 0.0, 1.0).unwrap();
-        m.add_ge("lo", LinExpr::from(x), 2.0);
-        let opts = SolverOptions::default();
-        let prepared = PreparedModel::new(&m, &opts).unwrap();
-        assert!(prepared.proven_infeasible());
-        let sol = prepared.solve(&opts, None).unwrap();
-        assert_eq!(sol.status(), SolveStatus::Infeasible);
-        assert_eq!(sol.node_count(), 0);
-    }
-
-    #[test]
-    fn prepared_warm_start_maps_through_the_reduction() {
-        let model = reducible();
-        let opts = SolverOptions::default();
-        let prepared = PreparedModel::new(&model, &opts).unwrap();
-        // Warm point in the ORIGINAL space (fixed = 2, x = 0, y = 1): the
-        // optimum, feasible under `2x + 3y + fixed ≤ 6`. It must survive
-        // the mapping into the reduced space and be proven optimal.
-        let sol = prepared.solve(&opts, Some(&[2.0, 0.0, 1.0])).unwrap();
-        assert_eq!(sol.status(), SolveStatus::Optimal);
-        assert!((sol.objective_value() - 4.0).abs() < 1e-9);
-        // Postsolved values are reported in the original space.
-        assert_eq!(sol.values().len(), model.num_vars());
-        assert!((sol.values()[0] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prepared_solves_race_safely_under_run_batch() {
-        let opts = SolverOptions::default();
-        let prepared = Arc::new(PreparedModel::new(&knapsack(), &opts).unwrap());
-        let objs = run_batch(12, move |_| {
-            prepared.solve(&SolverOptions::default(), None).unwrap().objective_value()
-        });
-        assert!(objs.iter().all(|o| (o - 8.0).abs() < 1e-9), "{objs:?}");
-    }
-
     #[test]
     fn feed_published_point_does_not_change_the_optimum() {
         // Publish the known optimum before the solve starts: the search
@@ -479,11 +202,6 @@ mod tests {
         feed.publish(vec![0.0, 1.0, 1.0]);
         let opts = SolverOptions::default().incumbent_feed(feed.clone());
         let sol = model.solve_with(&opts).unwrap();
-        assert_eq!(sol.status(), SolveStatus::Optimal);
-        assert!((sol.objective_value() - 8.0).abs() < 1e-9);
-        // Same through the prepared path (feed mapped through presolve).
-        let prepared = PreparedModel::new(&model, &opts).unwrap();
-        let sol = prepared.solve(&opts, None).unwrap();
         assert_eq!(sol.status(), SolveStatus::Optimal);
         assert!((sol.objective_value() - 8.0).abs() < 1e-9);
     }

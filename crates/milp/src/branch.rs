@@ -24,7 +24,7 @@ use crate::parallel;
 use crate::presolve::{presolve, Presolved};
 use crate::simplex::{BasisSnapshot, LpCheckpoint, LpStatus, Simplex};
 use crate::solution::{Solution, SolveStats, SolveStatus};
-use crate::standard::StandardForm;
+use crate::standard::{StandardForm, INFINITE_BOUND};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -257,7 +257,6 @@ impl<'a> NodeWorker<'a> {
         lp.refresh();
         let tree_cuts = allow_tree_cuts
             && options.cuts
-            && options.cover_cuts
             && options.cut_node_interval > 0
             && !int_cols.is_empty();
         let mut is_int = vec![false; model.num_vars()];
@@ -393,7 +392,7 @@ impl<'a> NodeWorker<'a> {
         }
     }
 
-    /// Most fractional / first / pseudo-cost selection among integer columns.
+    /// Most-fractional or pseudo-cost selection among integer columns.
     fn pick_branch_var(&self, x: &[f64]) -> Option<(usize, f64)> {
         let tol = self.options.integrality_tol;
         // Respect priority classes: only consider the highest priority class
@@ -413,7 +412,6 @@ impl<'a> NodeWorker<'a> {
                 _ => {}
             }
             match self.options.branch_rule {
-                BranchRule::FirstFractional => return Some((j, v)),
                 BranchRule::MostFractional => {
                     // `frac` is already the distance to the nearest integer
                     // (∈ (tol, 0.5]); larger means more fractional.
@@ -422,10 +420,10 @@ impl<'a> NodeWorker<'a> {
                         best = Some((j, v, score));
                     }
                 }
-                BranchRule::PseudoCost | BranchRule::Reliability => {
-                    // Reliability scores identically; its strong-branching
-                    // probes (run before selection) have already seeded the
-                    // pseudo-costs of unreliable columns.
+                BranchRule::Reliability => {
+                    // Pseudo-cost scoring; the strong-branching probes (run
+                    // before selection) have already seeded the pseudo-costs
+                    // of unreliable columns.
                     let f = v - v.floor();
                     let pc = &self.pseudo[j];
                     let fallback = 1.0;
@@ -739,7 +737,7 @@ impl<'a> NodeWorker<'a> {
     fn separate_in_tree(&mut self, full: &mut Vec<f64>) -> Result<TreeCutResult> {
         let t0 = Instant::now();
         let x = &full[..self.model.num_vars()];
-        let params = crate::cuts::cover::CoverParams { min_violation: 1e-4, big: self.sf.big };
+        let params = crate::cuts::cover::CoverParams { min_violation: 1e-4 };
         let mut cands = Vec::new();
         crate::cuts::cover::separate(
             self.model,
@@ -776,12 +774,19 @@ impl<'a> NodeWorker<'a> {
     /// observations) to seed their pseudo-costs.
     const MAX_PROBE_CANDIDATES: usize = 8;
 
+    /// Reliability threshold `η`: a column is strong-branched until both
+    /// its down and up pseudo-cost observation counts reach this value.
+    const RELIABILITY_THRESHOLD: u32 = 8;
+
+    /// Dual-simplex pivot budget of one strong-branching probe LP.
+    const STRONG_BRANCH_PIVOT_LIMIT: usize = 100;
+
     /// Reliability strong branching: for fractional columns of the active
     /// priority class whose pseudo-costs have fewer than
-    /// [`SolverOptions::reliability_threshold`] observations on a side,
-    /// solve both child LPs under a pivot budget
-    /// ([`SolverOptions::strong_branch_pivot_limit`]), warm from this
-    /// node's optimal basis, and seed the pseudo-costs with the observed
+    /// [`Self::RELIABILITY_THRESHOLD`] observations on a side, solve both
+    /// child LPs under a pivot budget
+    /// ([`Self::STRONG_BRANCH_PIVOT_LIMIT`]), warm from this node's optimal
+    /// basis, and seed the pseudo-costs with the observed
     /// degradations. A capped probe still yields a valid degradation
     /// estimate (any dual-feasible iterate bounds the child from below).
     ///
@@ -796,11 +801,6 @@ impl<'a> NodeWorker<'a> {
     /// the other way; two fathom the node. A cut-off side still seeds its
     /// pseudo-cost, since its degradation is a real LP optimum.
     fn strong_branch_probe(&mut self, x: &[f64], cutoff: f64) -> Result<ProbeResult> {
-        let eta = self.options.reliability_threshold;
-        let cap = self.options.strong_branch_pivot_limit;
-        if eta == 0 || cap == 0 {
-            return Ok(ProbeResult::Done);
-        }
         let tol = self.options.integrality_tol;
         // Unreliable fractional candidates of the active (highest) priority
         // class, most fractional first, index tiebreak for determinism.
@@ -817,7 +817,7 @@ impl<'a> NodeWorker<'a> {
                 Some(p) if prio < p => break,
                 _ => {}
             }
-            if self.pseudo[j].down_n.min(self.pseudo[j].up_n) < eta {
+            if self.pseudo[j].down_n.min(self.pseudo[j].up_n) < Self::RELIABILITY_THRESHOLD {
                 cands.push((j, v));
             }
         }
@@ -857,7 +857,7 @@ impl<'a> NodeWorker<'a> {
                 }
                 self.lp.refresh();
                 self.strong_branch_probes += 1;
-                let res = self.lp.optimize_capped(cap);
+                let res = self.lp.optimize_capped(Self::STRONG_BRANCH_PIVOT_LIMIT);
                 // Read before the node bounds return: the objective is the
                 // probe point's only while column `j` sits in the probe box.
                 let probe_obj = self.lp.objective();
@@ -1140,7 +1140,7 @@ pub(crate) fn solve_session(
     }
     let (sf, basis, carried_bound) = match resume {
         Some(r) => (r.sf, r.basis, Some(r.bound)),
-        None => (StandardForm::from_model(model, options), None, None),
+        None => (StandardForm::from_model(model), None, None),
     };
     solve_on_form(model, options, sf, basis, carried_bound, Some(capture), start, 0.0)
 }
@@ -1289,7 +1289,7 @@ pub(crate) fn solve(model: &Model, options: &SolverOptions) -> Result<Solution> 
         }
     }
 
-    let sf = StandardForm::from_model(model, options);
+    let sf = StandardForm::from_model(model);
     solve_on_form(model, options, sf, None, None, None, start, presolve_seconds)
 }
 
@@ -1354,12 +1354,7 @@ pub(crate) fn solve_on_form(
     // fresh separation pass on top of them mostly perturbs the search
     // while growing every LP.
     let mut cut_stats = crate::cuts::RootCutStats::default();
-    if options.cuts
-        && !resumed
-        && options.max_cut_rounds > 0
-        && !int_cols.is_empty()
-        && (options.gomory_cuts || options.cover_cuts)
-    {
+    if options.cuts && !resumed && !int_cols.is_empty() {
         cut_stats =
             crate::cuts::root_separation(model, &mut sf, options, &int_cols, &root_bounds, start);
     }
@@ -1383,12 +1378,11 @@ pub(crate) fn solve_on_form(
         {
             let mut rows = 0usize;
             if options.symmetry_breaking {
-                let big = sf.big;
                 for cut in plan.lex_cuts() {
                     // Installed directly (not through the cut pool): lex rows
                     // are structural symmetry breakers, not violated cuts —
                     // the pool's violation filter would drop them all.
-                    sf.add_cut_row(&cut.coeffs, cut.rhs, -big, 0.0);
+                    sf.add_cut_row(&cut.coeffs, cut.rhs, -INFINITE_BOUND, 0.0);
                     rows += 1;
                 }
             }
@@ -1490,9 +1484,8 @@ pub(crate) fn solve_on_form(
     // with a nonzero objective coefficient signals a true ray.
     let mut status = status;
     if let Some(values) = &outcome.incumbent {
-        let big = options.infinite_bound;
         for (j, &x) in values.iter().enumerate() {
-            if sf.clamped[j] && sf.c[j] != 0.0 && x.abs() >= big * (1.0 - 1e-6) {
+            if sf.clamped[j] && sf.c[j] != 0.0 && x.abs() >= INFINITE_BOUND * (1.0 - 1e-6) {
                 status = SolveStatus::Unbounded;
             }
         }
@@ -1886,7 +1879,7 @@ mod tests {
         model.set_objective(Objective::Minimize, obj);
 
         let options = SolverOptions::default().threads(1);
-        let sf = StandardForm::from_model(&model, &options);
+        let sf = StandardForm::from_model(&model);
         let int_cols: Vec<usize> = (0..model.num_vars()).collect();
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|j| (sf.lb[j].ceil(), sf.ub[j].floor())).collect();
@@ -1933,7 +1926,7 @@ mod tests {
         model.set_objective(Objective::Minimize, LinExpr::term(x, 1.0) + LinExpr::term(y, 1.3));
 
         let options = SolverOptions::default().threads(1);
-        let sf = StandardForm::from_model(&model, &options);
+        let sf = StandardForm::from_model(&model);
         let int_cols: Vec<usize> = (0..model.num_vars()).collect();
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|j| (sf.lb[j].ceil(), sf.ub[j].floor())).collect();

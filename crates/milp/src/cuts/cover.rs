@@ -12,14 +12,13 @@
 
 use crate::cuts::{Cut, CutFamily, CutSense, CutValidity};
 use crate::model::{ConstraintSense, Model};
+use crate::standard::INFINITE_BOUND;
 
 /// Tuning knobs of the cover separator.
 #[derive(Debug, Clone)]
 pub(crate) struct CoverParams {
     /// Minimum violation at the separation point for a cut to be emitted.
     pub min_violation: f64,
-    /// The working infinity; bounds at or beyond it count as unbounded.
-    pub big: f64,
 }
 
 /// One binary item of the normalized knapsack.
@@ -96,7 +95,7 @@ fn try_row(
             // Remove the non-binary term conservatively: the knapsack must
             // stay valid for every feasible value of x_j.
             let (l, u) = global_bounds[j];
-            if l <= -params.big * 0.99 || u >= params.big * 0.99 {
+            if l <= -INFINITE_BOUND * 0.99 || u >= INFINITE_BOUND * 0.99 {
                 return; // effectively unbounded — no finite relaxation
             }
             cap -= (a * l).min(a * u);

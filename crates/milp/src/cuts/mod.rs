@@ -38,7 +38,7 @@ use crate::events::SolverEvent;
 use crate::model::Model;
 use crate::options::SolverOptions;
 use crate::simplex::{LpStatus, Simplex};
-use crate::standard::StandardForm;
+use crate::standard::{StandardForm, INFINITE_BOUND};
 use std::time::Instant;
 
 /// Direction of a cut's inequality over structural columns.
@@ -145,6 +145,9 @@ pub(crate) struct RootCutStats {
 const TAILING_OFF_REL: f64 = 1e-7;
 /// Consecutive tailing-off rounds tolerated.
 const TAILING_OFF_ROUNDS: u32 = 2;
+/// Root separation round budget; the loop also stops on tailing-off bound
+/// improvement or when the relaxation goes integral.
+const MAX_CUT_ROUNDS: usize = 10;
 
 /// Runs the root separation loop and installs surviving cuts into `sf`.
 ///
@@ -183,7 +186,7 @@ pub(crate) fn root_separation(
     let mut ok = matches!(lp.optimize(), Ok(LpStatus::Optimal));
 
     let gp = gomory::GomoryParams::for_form(n);
-    let cp = cover::CoverParams { min_violation: 1e-4, big: sf.big };
+    let cp = cover::CoverParams { min_violation: 1e-4 };
     let mut pool = CutPool::new();
     let mut x: Vec<f64> = Vec::new();
     let mut cands: Vec<Cut> = Vec::new();
@@ -191,7 +194,7 @@ pub(crate) fn root_separation(
     let mut stale: u32 = 0;
 
     if ok {
-        for round in 1..=options.max_cut_rounds {
+        for round in 1..=MAX_CUT_ROUNDS {
             if options.cancelled() || lp.deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
@@ -205,12 +208,8 @@ pub(crate) fn root_separation(
             }
             let t0 = Instant::now();
             cands.clear();
-            if options.gomory_cuts {
-                gomory::separate(&mut lp, &is_int, &x, &gp, &mut cands);
-            }
-            if options.cover_cuts {
-                cover::separate(model, root_bounds, &binary, &x, &cp, &mut cands);
-            }
+            gomory::separate(&mut lp, &is_int, &x, &gp, &mut cands);
+            cover::separate(model, root_bounds, &binary, &x, &cp, &mut cands);
             let generated = cands.len();
             stats.generated += generated as u64;
             let chosen = pool.select(std::mem::take(&mut cands), &x);
@@ -266,8 +265,8 @@ pub(crate) fn root_separation(
         for cut in &kept {
             debug_assert_eq!(cut.validity, CutValidity::Global);
             let (sl, su) = match cut.sense {
-                CutSense::Le => (0.0, sf.big),
-                CutSense::Ge => (-sf.big, 0.0),
+                CutSense::Le => (0.0, INFINITE_BOUND),
+                CutSense::Ge => (-INFINITE_BOUND, 0.0),
             };
             sf.add_cut_row(&cut.coeffs, cut.rhs, sl, su);
         }
@@ -307,7 +306,7 @@ mod tests {
     fn generated_cuts_keep_all_integer_points() {
         let model = knapsack_model();
         let options = SolverOptions::default();
-        let sf = StandardForm::from_model(&model, &options);
+        let sf = StandardForm::from_model(&model);
         let n = sf.n;
         let int_cols: Vec<usize> = (0..n).collect();
         let root_bounds: Vec<(f64, f64)> = (0..n).map(|j| model.bounds(VarId(j))).collect();
@@ -333,7 +332,7 @@ mod tests {
             &root_bounds,
             &binary,
             &x,
-            &cover::CoverParams { min_violation: 1e-4, big: sf.big },
+            &cover::CoverParams { min_violation: 1e-4 },
             &mut cands,
         );
         assert!(!cands.is_empty(), "separators must fire on the fixture");
@@ -363,7 +362,7 @@ mod tests {
     fn root_loop_tightens_bound_and_preserves_optimum() {
         let model = knapsack_model();
         let options = SolverOptions::default();
-        let mut sf = StandardForm::from_model(&model, &options);
+        let mut sf = StandardForm::from_model(&model);
         let n = sf.n;
         let int_cols: Vec<usize> = (0..n).collect();
         let root_bounds: Vec<(f64, f64)> = (0..n).map(|j| model.bounds(VarId(j))).collect();
@@ -407,7 +406,7 @@ mod tests {
         ) {
             let model = build_random(&milp);
             let options = SolverOptions::default();
-            let sf = StandardForm::from_model(&model, &options);
+            let sf = StandardForm::from_model(&model);
             let n = sf.n;
             let root_bounds: Vec<(f64, f64)> =
                 (0..n).map(|j| model.bounds(VarId(j))).collect();
@@ -435,7 +434,7 @@ mod tests {
                 &root_bounds,
                 &binary,
                 &x,
-                &cover::CoverParams { min_violation: 1e-4, big: sf.big },
+                &cover::CoverParams { min_violation: 1e-4 },
                 &mut cands,
             );
 

@@ -173,11 +173,8 @@ mod tests {
         m
     }
 
-    fn setup(
-        model: &Model,
-        options: &SolverOptions,
-    ) -> (StandardForm, Vec<usize>, Vec<(f64, f64)>) {
-        let sf = StandardForm::from_model(model, options);
+    fn setup(model: &Model) -> (StandardForm, Vec<usize>, Vec<(f64, f64)>) {
+        let sf = StandardForm::from_model(model);
         let int_cols: Vec<usize> = (0..model.num_vars()).collect();
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|j| (sf.lb[j].ceil(), sf.ub[j].floor())).collect();
@@ -188,7 +185,7 @@ mod tests {
     fn heuristics_find_a_feasible_incumbent() {
         let model = knapsack();
         let options = SolverOptions::default().threads(1);
-        let (sf, int_cols, root_bounds) = setup(&model, &options);
+        let (sf, int_cols, root_bounds) = setup(&model);
         let mut out = HeuristicOutcome::default();
         let best = run_root(
             &model,
@@ -214,7 +211,7 @@ mod tests {
         let mut model = knapsack();
         let options = SolverOptions::default().threads(1);
         // Form built before the model grew a column (an unpropagated delta).
-        let sf = StandardForm::from_model(&model, &options);
+        let sf = StandardForm::from_model(&model);
         model.binary("late");
         let int_cols: Vec<usize> = (0..model.num_vars()).collect();
         let root_bounds = vec![(0.0, 1.0); model.num_vars()];
@@ -235,7 +232,7 @@ mod tests {
     fn repeated_runs_agree_bit_for_bit() {
         let model = knapsack();
         let options = SolverOptions::default().threads(1);
-        let (sf, int_cols, root_bounds) = setup(&model, &options);
+        let (sf, int_cols, root_bounds) = setup(&model);
         let run = || {
             let mut out = HeuristicOutcome::default();
             let best = run_root(
@@ -257,7 +254,7 @@ mod tests {
     fn worse_points_never_replace_the_warm_hint() {
         let model = knapsack();
         let options = SolverOptions::default().threads(1);
-        let (sf, int_cols, root_bounds) = setup(&model, &options);
+        let (sf, int_cols, root_bounds) = setup(&model);
         // A deliberately unbeatable warm objective: heuristics must keep it.
         let all_zero = vec![0.0; model.num_vars()];
         let warm = Some((all_zero.clone(), f64::NEG_INFINITY));
@@ -286,7 +283,7 @@ mod tests {
         // bounded by one LP solve.
         let model = knapsack();
         let options = SolverOptions::default().threads(1).time_limit(5.0);
-        let (sf, int_cols, root_bounds) = setup(&model, &options);
+        let (sf, int_cols, root_bounds) = setup(&model);
         let start = Instant::now() - std::time::Duration::from_millis(4960);
         let t0 = Instant::now();
         let mut out = HeuristicOutcome::default();
@@ -314,7 +311,7 @@ mod tests {
         let token = crate::CancelToken::new();
         token.cancel();
         let options = SolverOptions::default().threads(1).cancel_token(token);
-        let (sf, int_cols, root_bounds) = setup(&model, &options);
+        let (sf, int_cols, root_bounds) = setup(&model);
         let mut out = HeuristicOutcome::default();
         // The root LP may still solve (cancellation is cooperative), but no
         // dive iteration may run once the token is cancelled.

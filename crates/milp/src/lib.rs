@@ -70,7 +70,7 @@ mod symmetry;
 #[cfg(test)]
 mod testgen;
 
-pub use batch::{run_batch, PreparedModel};
+pub use batch::run_batch;
 pub use delta::{DeltaOutcome, ModelDelta};
 pub use error::{MilpError, Result};
 pub use events::{
@@ -301,12 +301,7 @@ mod tests {
             m
         };
         let mut objs = vec![];
-        for rule in [
-            BranchRule::MostFractional,
-            BranchRule::FirstFractional,
-            BranchRule::PseudoCost,
-            BranchRule::Reliability,
-        ] {
+        for rule in [BranchRule::MostFractional, BranchRule::Reliability] {
             for order in [NodeOrder::DepthFirst, NodeOrder::BestBound] {
                 let opts = SolverOptions::default().branch_rule(rule).node_order(order);
                 let s = build().solve_with(&opts).unwrap();

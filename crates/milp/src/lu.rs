@@ -543,7 +543,7 @@ mod tests {
         m.add_le("r3", LinExpr::term(xs[0], 0.5) + LinExpr::term(xs[4], 3.0), 4.0);
         m.add_ge("r4", LinExpr::term(xs[3], 1.0) + LinExpr::term(xs[5], -1.0), -1.0);
         m.add_le("r5", LinExpr::term(xs[4], 2.0) + LinExpr::term(xs[5], 2.0), 6.0);
-        StandardForm::from_model(&m, &SolverOptions::default())
+        StandardForm::from_model(&m)
     }
 
     /// Dense multiplication `B · x` for checking the solves.
@@ -909,7 +909,6 @@ mod tests {
             m,
             obj_offset: 0.0,
             maximize: false,
-            big: 1e9,
         }
     }
 
@@ -1070,7 +1069,7 @@ mod tests {
     fn walk_iterates(model: &Model) -> std::result::Result<usize, TestCaseError> {
         use crate::simplex::{LpStatus, Simplex};
         let opts = SolverOptions::default();
-        let sf = StandardForm::from_model(model, &opts);
+        let sf = StandardForm::from_model(model);
         let mut lp = Simplex::new(&sf, &opts);
         let mut checked = 0;
         for _ in 0..10_000 {

@@ -141,7 +141,7 @@ impl Model {
     /// Adds a variable with explicit kind and bounds.
     ///
     /// Non-finite bounds are accepted here; they are clamped to the solver's
-    /// working bound at solve time (see [`SolverOptions::infinite_bound`]).
+    /// working bound, ±1e9, at solve time.
     ///
     /// # Errors
     ///

@@ -7,26 +7,19 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BranchRule {
     /// Branch on the variable whose LP value is closest to 0.5 (after
-    /// priority ordering). A solid general-purpose default.
-    #[default]
+    /// priority ordering). The figure harness and the CI gates keep it so
+    /// their recorded node counts stay comparable.
     MostFractional,
-    /// Branch on the first fractional variable in index order (Bland-like,
-    /// deterministic, useful for debugging).
-    FirstFractional,
-    /// Pseudo-cost branching: estimates objective degradation per variable
-    /// from past branchings and picks the variable with the largest expected
-    /// product of down/up degradations.
-    PseudoCost,
-    /// Reliability branching: pseudo-cost scoring whose estimates are
-    /// initialized by strong-branching lookahead. Until a column's down/up
-    /// observation counts both reach
-    /// [`SolverOptions::reliability_threshold`], its children LPs are probed
-    /// with a bounded dual-simplex pivot budget
-    /// ([`SolverOptions::strong_branch_pivot_limit`]) warm from the node
+    /// Reliability branching, the default: pseudo-cost scoring (the
+    /// largest product of expected down/up degradations) whose estimates
+    /// are initialized by strong-branching lookahead. Until a column's
+    /// down/up observation counts both reach η = 8, its children LPs are
+    /// probed under a bounded dual-simplex pivot budget warm from the node
     /// basis, and the observed degradations seed the pseudo-cost table —
     /// replacing the flat fallback score that otherwise makes the earliest
     /// (tree-shaping) branchings near-uniform. A probe that proves a child
     /// infeasible fixes the column the other way on the spot.
+    #[default]
     Reliability,
 }
 
@@ -40,9 +33,8 @@ pub enum BasisKernel {
     #[default]
     SparseLu,
     /// Dense explicit basis inverse, O(m²) per pivot and O(m³) per
-    /// refactorization. Kept as a reference implementation and numerical
-    /// fallback; the equivalence test suite pins both kernels to the same
-    /// optima.
+    /// refactorization: the reference the basis-equivalence tests pin the
+    /// sparse LU against.
     Dense,
 }
 
@@ -55,13 +47,8 @@ pub enum Pricing {
     /// the degenerate deployment MILPs, at a modest per-pivot surcharge.
     #[default]
     SteepestEdge,
-    /// Dual devex: the same `violation² / wᵣ` score with cheap approximate
-    /// reference weights (no extra FTRAN; weights reset when they drift too
-    /// far). A middle ground when FTRANs are expensive.
-    Devex,
     /// Classic Dantzig rule: pick the most violated basic variable. The
-    /// historical behavior, kept for A/B comparison and as the cheapest
-    /// per-iteration choice.
+    /// reference the pricing-equivalence tests compare every rule against.
     Dantzig,
 }
 
@@ -87,9 +74,12 @@ pub enum NodeOrder {
 /// let opts = SolverOptions::default()
 ///     .time_limit(5.0)
 ///     .node_limit(10_000)
-///     .branch_rule(BranchRule::PseudoCost)
+///     .branch_rule(BranchRule::MostFractional)
 ///     .threads(4);
 /// ```
+///
+/// `SolverOptions::default()` is the exact arm's solver: reliability
+/// branching, root cuts, the root dive and node propagation on.
 ///
 /// [`Model::solve_with`]: crate::Model::solve_with
 #[derive(Debug, Clone, PartialEq)]
@@ -106,16 +96,10 @@ pub struct SolverOptions {
     pub node_limit: usize,
     /// Wall-clock limit in seconds (`f64::INFINITY` = unlimited).
     pub time_limit: f64,
-    /// Simplex iteration limit per LP solve.
-    pub simplex_iteration_limit: usize,
-    /// Replacement magnitude for infinite variable bounds.
-    pub infinite_bound: f64,
     /// Branching variable selection rule.
     pub branch_rule: BranchRule,
     /// Node exploration order.
     pub node_order: NodeOrder,
-    /// Refactorize the basis inverse every this many simplex pivots.
-    pub refactor_interval: usize,
     /// Linear-algebra kernel backing the simplex basis.
     pub basis_kernel: BasisKernel,
     /// Dual-simplex leaving-row rule (pricing). See [`Pricing`].
@@ -125,13 +109,9 @@ pub struct SolverOptions {
     /// restore it (re-factorizing through the LU path) before
     /// re-optimizing, so a child typically finishes in a handful of dual
     /// pivots. `false` re-solves every node from the all-slack basis (the
-    /// cold-start reference the ablation benches compare against).
+    /// cold-start reference the equivalence tests and ablation benches
+    /// compare against).
     pub warm_start: bool,
-    /// Sparse-LU only: maximum length of the product-form eta file before a
-    /// refactorization is forced, independently of `refactor_interval`.
-    /// Longer files make FTRAN/BTRAN slower and drift-prone; shorter files
-    /// refactorize more often.
-    pub eta_limit: usize,
     /// Run presolve reductions before branch and bound.
     pub presolve: bool,
     /// Number of branch-and-bound worker threads. `0` (the default) uses the
@@ -142,17 +122,10 @@ pub struct SolverOptions {
     /// Master switch of the cutting-plane engine (root separation loop and,
     /// when [`SolverOptions::cut_node_interval`] is set, in-tree rounds).
     /// Cuts tighten the LP relaxation so the tree is proven with fewer
-    /// nodes; `false` reproduces the pure branch-and-bound search.
+    /// nodes; `false` reproduces the pure branch-and-bound search. The root
+    /// separates Gomory mixed-integer and knapsack cover cuts for up to 10
+    /// rounds; in-tree rounds separate cover cuts only.
     pub cuts: bool,
-    /// Enable Gomory mixed-integer cuts (requires `cuts`). Root-only: they
-    /// are derived from the root basis via the kernel's BTRAN path.
-    pub gomory_cuts: bool,
-    /// Enable knapsack cover cuts (requires `cuts`). Globally valid, so
-    /// they also drive the optional in-tree separation.
-    pub cover_cuts: bool,
-    /// Maximum root separation rounds; the loop also stops on tailing-off
-    /// bound improvement or when the relaxation goes integral.
-    pub max_cut_rounds: usize,
     /// In-tree separation interval: every `k`-th depth of the serial search
     /// separates cover cuts at the node relaxation. `0` (default) disables
     /// in-tree rounds (root cuts only). Ignored under `threads ≥ 2` —
@@ -187,12 +160,6 @@ pub struct SolverOptions {
     /// once a prefix column is fixed, its images under the group are fixed
     /// or the node fathoms. Sound with or without the root rows installed.
     pub orbital_fixing: bool,
-    /// Reliability threshold `η` of [`BranchRule::Reliability`]: a column is
-    /// strong-branched until both its down and up pseudo-cost observation
-    /// counts reach this value.
-    pub reliability_threshold: u32,
-    /// Dual-simplex pivot budget of one strong-branching probe LP.
-    pub strong_branch_pivot_limit: usize,
     /// Receiver of the structured event stream ([`crate::SolverEvent`]);
     /// unset by default. See [`SolverOptions::observer`].
     pub observer: ObserverHandle,
@@ -215,29 +182,20 @@ impl Default for SolverOptions {
             absolute_gap: 1e-9,
             node_limit: 0,
             time_limit: f64::INFINITY,
-            simplex_iteration_limit: 50_000,
-            infinite_bound: 1e9,
             branch_rule: BranchRule::default(),
             node_order: NodeOrder::default(),
-            refactor_interval: 128,
             basis_kernel: BasisKernel::default(),
             pricing: Pricing::default(),
             warm_start: true,
-            eta_limit: 64,
             presolve: true,
             threads: 0,
             cuts: true,
-            gomory_cuts: true,
-            cover_cuts: true,
-            max_cut_rounds: 10,
             cut_node_interval: 0,
             heuristics: true,
             propagation: true,
             symmetry_candidates: Arc::new(Vec::new()),
             symmetry_breaking: true,
             orbital_fixing: true,
-            reliability_threshold: 8,
-            strong_branch_pivot_limit: 100,
             observer: ObserverHandle::none(),
             cancel: None,
             incumbent_feed: None,
@@ -289,12 +247,6 @@ impl SolverOptions {
         self
     }
 
-    /// Sets the per-LP simplex iteration limit, builder-style.
-    pub fn simplex_iteration_limit(mut self, limit: usize) -> Self {
-        self.simplex_iteration_limit = limit;
-        self
-    }
-
     /// Registers an [`Observer`] to receive the structured event stream
     /// ([`crate::SolverEvent`]), builder-style. Any
     /// `Fn(&SolverEvent) + Send + Sync` closure qualifies.
@@ -342,12 +294,6 @@ impl SolverOptions {
         self
     }
 
-    /// Sets the eta-file length limit of the sparse kernel, builder-style.
-    pub fn eta_limit(mut self, limit: usize) -> Self {
-        self.eta_limit = limit;
-        self
-    }
-
     /// Selects the dual-simplex pricing rule, builder-style.
     pub fn pricing(mut self, pricing: Pricing) -> Self {
         self.pricing = pricing;
@@ -363,24 +309,6 @@ impl SolverOptions {
     /// Enables or disables the cutting-plane engine, builder-style.
     pub fn cuts(mut self, on: bool) -> Self {
         self.cuts = on;
-        self
-    }
-
-    /// Enables or disables Gomory mixed-integer cuts, builder-style.
-    pub fn gomory_cuts(mut self, on: bool) -> Self {
-        self.gomory_cuts = on;
-        self
-    }
-
-    /// Enables or disables knapsack cover cuts, builder-style.
-    pub fn cover_cuts(mut self, on: bool) -> Self {
-        self.cover_cuts = on;
-        self
-    }
-
-    /// Sets the root separation round budget, builder-style.
-    pub fn max_cut_rounds(mut self, rounds: usize) -> Self {
-        self.max_cut_rounds = rounds;
         self
     }
 
@@ -422,18 +350,6 @@ impl SolverOptions {
         self
     }
 
-    /// Sets the reliability threshold `η`, builder-style.
-    pub fn reliability_threshold(mut self, eta: u32) -> Self {
-        self.reliability_threshold = eta;
-        self
-    }
-
-    /// Sets the strong-branching probe pivot budget, builder-style.
-    pub fn strong_branch_pivot_limit(mut self, pivots: usize) -> Self {
-        self.strong_branch_pivot_limit = pivots;
-        self
-    }
-
     /// The concrete worker count after resolving `threads = 0` to the
     /// machine's available parallelism (capped at 8: branch-and-bound trees
     /// on this workspace's models rarely feed more workers than that).
@@ -454,36 +370,27 @@ mod tests {
         let o = SolverOptions::default()
             .time_limit(5.0)
             .node_limit(100)
-            .branch_rule(BranchRule::PseudoCost)
+            .branch_rule(BranchRule::MostFractional)
             .node_order(NodeOrder::BestBound)
             .relative_gap(1e-3)
             .threads(3)
-            .basis_kernel(BasisKernel::Dense)
-            .eta_limit(32);
+            .basis_kernel(BasisKernel::Dense);
         assert_eq!(o.time_limit, 5.0);
         assert_eq!(o.node_limit, 100);
-        assert_eq!(o.branch_rule, BranchRule::PseudoCost);
+        assert_eq!(o.branch_rule, BranchRule::MostFractional);
         assert_eq!(o.node_order, NodeOrder::BestBound);
         assert_eq!(o.relative_gap, 1e-3);
         assert_eq!(o.threads, 3);
         assert_eq!(o.basis_kernel, BasisKernel::Dense);
-        assert_eq!(o.eta_limit, 32);
     }
 
     #[test]
     fn cuts_default_on_with_root_only_separation() {
         let o = SolverOptions::default();
-        assert!(o.cuts && o.gomory_cuts && o.cover_cuts);
-        assert_eq!(o.max_cut_rounds, 10);
+        assert!(o.cuts);
         assert_eq!(o.cut_node_interval, 0, "in-tree rounds are opt-in");
-        let o = o
-            .cuts(false)
-            .gomory_cuts(false)
-            .cover_cuts(false)
-            .max_cut_rounds(3)
-            .cut_node_interval(4);
-        assert!(!o.cuts && !o.gomory_cuts && !o.cover_cuts);
-        assert_eq!(o.max_cut_rounds, 3);
+        let o = o.cuts(false).cut_node_interval(4);
+        assert!(!o.cuts);
         assert_eq!(o.cut_node_interval, 4);
     }
 
@@ -500,21 +407,15 @@ mod tests {
         let o = SolverOptions::default();
         assert!(o.symmetry_candidates.is_empty(), "no candidates unless supplied");
         assert!(o.symmetry_breaking && o.orbital_fixing, "passes armed once candidates exist");
-        assert_eq!(o.reliability_threshold, 8);
-        assert_eq!(o.strong_branch_pivot_limit, 100);
-        assert_eq!(o.branch_rule, BranchRule::MostFractional, "Reliability is opt-in");
+        assert_eq!(o.branch_rule, BranchRule::Reliability, "the exact arm's rule is the default");
         let o = o
             .symmetry_candidates(vec![vec![1, 0]])
             .symmetry_breaking(false)
             .orbital_fixing(false)
-            .reliability_threshold(4)
-            .strong_branch_pivot_limit(50)
-            .branch_rule(BranchRule::Reliability);
+            .branch_rule(BranchRule::MostFractional);
         assert_eq!(o.symmetry_candidates.as_ref(), &vec![vec![1, 0]]);
         assert!(!o.symmetry_breaking && !o.orbital_fixing);
-        assert_eq!(o.reliability_threshold, 4);
-        assert_eq!(o.strong_branch_pivot_limit, 50);
-        assert_eq!(o.branch_rule, BranchRule::Reliability);
+        assert_eq!(o.branch_rule, BranchRule::MostFractional);
     }
 
     #[test]
@@ -543,7 +444,6 @@ mod tests {
     #[test]
     fn sparse_kernel_is_the_default() {
         assert_eq!(SolverOptions::default().basis_kernel, BasisKernel::SparseLu);
-        assert!(SolverOptions::default().eta_limit > 0);
     }
 
     #[test]
@@ -551,8 +451,8 @@ mod tests {
         let o = SolverOptions::default();
         assert_eq!(o.pricing, Pricing::SteepestEdge);
         assert!(o.warm_start);
-        let o = o.pricing(Pricing::Devex).warm_start(false);
-        assert_eq!(o.pricing, Pricing::Devex);
+        let o = o.pricing(Pricing::Dantzig).warm_start(false);
+        assert_eq!(o.pricing, Pricing::Dantzig);
         assert!(!o.warm_start);
     }
 

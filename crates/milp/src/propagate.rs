@@ -138,15 +138,13 @@ pub(crate) fn propagate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::SolverOptions;
     use crate::{LinExpr, Model, Objective};
 
     /// Builds a form plus working buffers from a model whose variables are
     /// all integer, with the node box equal to the root box.
     #[allow(clippy::type_complexity)]
     fn setup(model: &Model) -> (StandardForm, Vec<bool>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let options = SolverOptions::default();
-        let sf = StandardForm::from_model(model, &options);
+        let sf = StandardForm::from_model(model);
         let is_int = vec![true; sf.n];
         let lb: Vec<f64> = sf.lb[..sf.n].iter().map(|l| l.ceil()).collect();
         let ub: Vec<f64> = sf.ub[..sf.n].iter().map(|u| u.floor()).collect();

@@ -12,8 +12,8 @@
 //!   usually re-optimizes in a handful of pivots.
 //!
 //! Leaving-row pricing is selected by [`SolverOptions::pricing`]: dual
-//! steepest edge (exact Forrest–Goldfarb reference weights, default), devex
-//! (approximate weights, no extra FTRAN) or classic Dantzig most-violated.
+//! steepest edge (exact Forrest–Goldfarb reference weights, default) or
+//! classic Dantzig most-violated, the reference.
 //!
 //! The basis linear algebra is abstracted behind [`Kernel`], selected by
 //! [`SolverOptions::basis_kernel`]:
@@ -21,7 +21,7 @@
 //! * [`BasisKernel::SparseLu`] (default) — Markowitz-ordered sparse LU with
 //!   product-form eta updates and sparse FTRAN/BTRAN (see [`crate::lu`]).
 //!   Pivot cost tracks basis sparsity; the eta file is capped at
-//!   `SolverOptions::eta_limit` before a refactorization is forced.
+//!   [`ETA_LIMIT`] before a refactorization is forced.
 //! * [`BasisKernel::Dense`] — explicit dense `m × m` inverse, O(m²) per
 //!   pivot. Kept as the reference implementation and numerical fallback.
 //!
@@ -42,7 +42,7 @@ use crate::error::{MilpError, Result};
 use crate::events::{CancelToken, ObserverHandle, SolverEvent};
 use crate::lu::{EtaFile, LuFactors};
 use crate::options::{BasisKernel, Pricing, SolverOptions};
-use crate::standard::{ColumnRef, StandardForm};
+use crate::standard::{ColumnRef, StandardForm, INFINITE_BOUND};
 use std::time::Instant;
 
 /// Primal feasibility tolerance (absolute, plus relative to bound size).
@@ -53,11 +53,16 @@ const DTOL: f64 = 1e-7;
 const ZTOL: f64 = 1e-9;
 /// Degenerate pivots tolerated before switching to Bland's rule.
 const DEGEN_LIMIT: u32 = 200;
-/// Floor for DSE/devex reference weights (guards the score division).
+/// Floor for DSE reference weights (guards the score division).
 const WEIGHT_FLOOR: f64 = 1e-4;
-/// Devex weight ceiling: when any weight exceeds this the reference
-/// framework has drifted too far and is reset to the unit weights.
-const DEVEX_RESET: f64 = 1e7;
+/// Pivot limit of one LP solve (strong-branching probes cap it lower).
+const ITERATION_LIMIT: usize = 50_000;
+/// The basis is refactorized every this many pivots.
+const REFACTOR_INTERVAL: usize = 128;
+/// Sparse-LU only: maximum length of the product-form eta file before a
+/// refactorization is forced, independently of [`REFACTOR_INTERVAL`].
+/// Longer files make FTRAN/BTRAN slower and drift-prone.
+const ETA_LIMIT: usize = 64;
 
 /// Status of a single LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,7 +185,7 @@ impl Clone for Kernel {
 }
 
 impl Kernel {
-    fn new(kind: BasisKernel, m: usize, eta_limit: usize) -> Self {
+    fn new(kind: BasisKernel, m: usize) -> Self {
         match kind {
             BasisKernel::Dense => {
                 let mut binv = vec![0.0; m * m];
@@ -192,7 +197,7 @@ impl Kernel {
             BasisKernel::SparseLu => Kernel::Lu {
                 lu: LuFactors::identity(m),
                 etas: EtaFile::default(),
-                eta_limit: eta_limit.max(1),
+                eta_limit: ETA_LIMIT,
             },
         }
     }
@@ -429,7 +434,6 @@ pub(crate) struct Simplex {
     m: usize,
     ncols: usize,
     pivots_since_refactor: usize,
-    refactor_interval: usize,
     iteration_limit: usize,
     /// Total pivots performed over the lifetime of this state.
     pub iterations: u64,
@@ -454,13 +458,12 @@ pub(crate) struct Simplex {
     bound_margin: f64,
     /// Leaving-row selection rule.
     pricing: Pricing,
-    /// Reference weights for steepest-edge/devex row pricing, one per basis
-    /// row. `weights[r]` tracks (DSE: exactly, devex: approximately)
-    /// `‖eᵣᵀ B⁻¹‖²`. All-ones under Dantzig. Weights survive
-    /// refactorizations (the basis is unchanged) but reset to the unit
-    /// framework whenever the basis is *replaced* (slack reset, snapshot
-    /// restore); a [`Simplex::rollback`] reinstalls the weights of its
-    /// checkpoint, which are the unit ones when the checkpoint was taken
+    /// Reference weights for steepest-edge row pricing, one per basis row.
+    /// `weights[r]` tracks `‖eᵣᵀ B⁻¹‖²`. All-ones under Dantzig. Weights
+    /// survive refactorizations (the basis is unchanged) but reset to the
+    /// unit framework whenever the basis is *replaced* (slack reset,
+    /// snapshot restore); a [`Simplex::rollback`] reinstalls the weights of
+    /// its checkpoint, which are the unit ones when the checkpoint was taken
     /// right after a snapshot restore.
     weights: Vec<f64>,
     /// Scratch buffers reused across pivots.
@@ -523,7 +526,7 @@ impl Simplex {
             basis.push(sf.n + r);
             stat[sf.n + r] = Stat::Basic;
         }
-        let kernel = Kernel::new(options.basis_kernel, m, options.eta_limit);
+        let kernel = Kernel::new(options.basis_kernel, m);
         let mut s = Simplex {
             lb: sf.lb.clone(),
             ub: sf.ub.clone(),
@@ -536,8 +539,7 @@ impl Simplex {
             m,
             ncols,
             pivots_since_refactor: 0,
-            refactor_interval: options.refactor_interval.max(8),
-            iteration_limit: options.simplex_iteration_limit,
+            iteration_limit: ITERATION_LIMIT,
             iterations: 0,
             deadline: None,
             cancel: options.cancel.clone(),
@@ -869,8 +871,8 @@ impl Simplex {
     }
 
     /// [`Simplex::optimize`] under a temporary per-call pivot cap, used by
-    /// strong-branching probes: the configured `simplex_iteration_limit` is
-    /// swapped for `cap` for this one call and restored on every exit path.
+    /// strong-branching probes: [`ITERATION_LIMIT`] is swapped for `cap` for
+    /// this one call and restored on every exit path.
     /// At a cap-induced [`MilpError::IterationLimit`] the state is a
     /// dual-feasible iterate, so [`Simplex::objective`] still reads a valid
     /// dual bound for the probe LP (modulo [`Simplex::bound_margin`]).
@@ -918,7 +920,7 @@ impl Simplex {
                 }
             }
             // --- Leaving variable: best pricing score among violated rows.
-            // Dantzig scores by raw violation; steepest-edge/devex by
+            // Dantzig scores by raw violation; steepest edge by
             // violation²/weight, the dual-step-length measure that actually
             // ranks progress per pivot (Forrest–Goldfarb). ---
             let dantzig = self.pricing == Pricing::Dantzig;
@@ -1136,7 +1138,7 @@ impl Simplex {
             self.iterations += 1;
             local_iters += 1;
             self.pivots_since_refactor += 1;
-            if force_refactor || self.pivots_since_refactor >= self.refactor_interval {
+            if force_refactor || self.pivots_since_refactor >= REFACTOR_INTERVAL {
                 match self.refactorize() {
                     Ok(()) => {
                         self.make_dual_feasible();
@@ -1159,30 +1161,6 @@ impl Simplex {
         let inv = 1.0 / alpha_r;
         match self.pricing {
             Pricing::Dantzig => {}
-            Pricing::Devex => {
-                // Approximate reference update (dual devex): weights only
-                // ever grow toward the true row norms — no extra FTRAN, at
-                // the cost of a periodic framework reset.
-                let wr = self.weights[r].max(1.0);
-                let mut wmax = 0.0_f64;
-                for i in 0..self.m {
-                    if i == r {
-                        continue;
-                    }
-                    let kappa = self.scratch_aq[i] * inv;
-                    if kappa != 0.0 {
-                        let grow = kappa * kappa * wr;
-                        if grow > self.weights[i] {
-                            self.weights[i] = grow;
-                        }
-                    }
-                    wmax = wmax.max(self.weights[i]);
-                }
-                self.weights[r] = (wr * inv * inv).max(1.0);
-                if wmax.max(self.weights[r]) > DEVEX_RESET {
-                    self.reset_weights();
-                }
-            }
             Pricing::SteepestEdge => {
                 // Exact Forrest–Goldfarb. The leaving row's true squared
                 // norm is recomputed from the BTRAN row already at hand
@@ -1278,12 +1256,11 @@ impl Simplex {
         if cuts.is_empty() {
             return Ok(());
         }
-        let big = self.sf.big;
         for cut in cuts {
             let row = self.sf.m;
             let (sl, su) = match cut.sense {
-                crate::cuts::CutSense::Le => (0.0, big),
-                crate::cuts::CutSense::Ge => (-big, 0.0),
+                crate::cuts::CutSense::Le => (0.0, INFINITE_BOUND),
+                crate::cuts::CutSense::Ge => (-INFINITE_BOUND, 0.0),
             };
             self.sf.add_cut_row(&cut.coeffs, cut.rhs, sl, su);
             // The new slack lands at column index `old ncols`; existing
@@ -1344,7 +1321,7 @@ mod tests {
             obj.add_term(x, 1.0 + i as f64);
         }
         m.set_objective(Objective::Minimize, obj);
-        StandardForm::from_model(&m, &SolverOptions::default())
+        StandardForm::from_model(&m)
     }
 
     #[test]
@@ -1457,7 +1434,7 @@ mod tests {
             }
         }
         m.set_objective(Objective::Minimize, obj);
-        StandardForm::from_model(&m, &SolverOptions::default())
+        StandardForm::from_model(&m)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1492,8 +1469,11 @@ mod tests {
         for (kernel, eta_limit) in
             [(BasisKernel::SparseLu, 64), (BasisKernel::SparseLu, 2), (BasisKernel::Dense, 64)]
         {
-            let opts = SolverOptions::default().basis_kernel(kernel).eta_limit(eta_limit);
+            let opts = SolverOptions::default().basis_kernel(kernel);
             let mut s = Simplex::new(&sf, &opts);
+            if let Kernel::Lu { eta_limit: limit, .. } = &mut s.kernel {
+                *limit = eta_limit;
+            }
             assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
             let snap = s.snapshot();
             s.restore_snapshot(&snap).unwrap();
@@ -1534,16 +1514,13 @@ mod tests {
     #[test]
     fn pricing_weights_stay_floored_and_reset_on_basis_replacement() {
         let sf = sf_fixture();
-        for pricing in [Pricing::SteepestEdge, Pricing::Devex] {
-            let opts = SolverOptions { pricing, ..SolverOptions::default() };
-            let mut s = Simplex::new(&sf, &opts);
-            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
-            assert!(s.iterations > 0, "fixture must pivot");
-            for &w in &s.weights {
-                assert!(w >= WEIGHT_FLOOR && w.is_finite(), "weight {w} out of range");
-            }
-            s.reset_to_slack_basis();
-            assert!(s.weights.iter().all(|&w| w == 1.0), "reset must restore unit weights");
+        let mut s = Simplex::new(&sf, &SolverOptions::default());
+        assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+        assert!(s.iterations > 0, "fixture must pivot");
+        for &w in &s.weights {
+            assert!(w >= WEIGHT_FLOOR && w.is_finite(), "weight {w} out of range");
         }
+        s.reset_to_slack_basis();
+        assert!(s.weights.iter().all(|&w| w == 1.0), "reset must restore unit weights");
     }
 }

@@ -9,11 +9,14 @@
 //! * `=` rows: `s ∈ [0, 0]`
 //!
 //! Maximization is handled by negating the cost vector; infinite bounds are
-//! clamped to `±options.infinite_bound` so the bounded-variable simplex can
-//! always start from a dual-feasible slack basis.
+//! clamped to `±INFINITE_BOUND` so the bounded-variable simplex can always
+//! start from a dual-feasible slack basis.
 
 use crate::model::{ConstraintSense, Model, Objective};
-use crate::options::SolverOptions;
+
+/// The working infinity: infinite bounds, and bounds beyond it, are clamped
+/// here; cut rows appended later reuse it for their slack bounds.
+pub(crate) const INFINITE_BOUND: f64 = 1e9;
 
 /// A sparse column: `(row, coefficient)` pairs sorted by row.
 pub(crate) type SparseCol = Vec<(usize, f64)>;
@@ -48,17 +51,14 @@ pub(crate) struct StandardForm {
     pub obj_offset: f64,
     /// `true` when the model maximizes (results must be negated back).
     pub maximize: bool,
-    /// The working infinity (`options.infinite_bound`) the bounds were
-    /// clamped to; cut rows appended later reuse it for their slack bounds.
-    pub big: f64,
 }
 
 impl StandardForm {
     /// Builds the standard form of `model`.
-    pub fn from_model(model: &Model, options: &SolverOptions) -> Self {
+    pub fn from_model(model: &Model) -> Self {
         let n = model.num_vars();
         let m = model.num_constraints();
-        let big = options.infinite_bound;
+        let big = INFINITE_BOUND;
 
         let mut cols: Vec<SparseCol> = vec![Vec::new(); n];
         let mut b = Vec::with_capacity(m);
@@ -117,7 +117,7 @@ impl StandardForm {
             }
         }
 
-        StandardForm { cols, rows_nz, b, c, lb, ub, clamped, n, m, obj_offset, maximize, big }
+        StandardForm { cols, rows_nz, b, c, lb, ub, clamped, n, m, obj_offset, maximize }
     }
 
     /// Appends a cut row `Σ coeffs·x (sense) rhs` over structural columns.
@@ -154,12 +154,12 @@ impl StandardForm {
         let mut l = lb;
         let mut u = ub;
         let mut cl = false;
-        if l.is_infinite() || l < -self.big {
-            l = -self.big;
+        if l.is_infinite() || l < -INFINITE_BOUND {
+            l = -INFINITE_BOUND;
             cl = true;
         }
-        if u.is_infinite() || u > self.big {
-            u = self.big;
+        if u.is_infinite() || u > INFINITE_BOUND {
+            u = INFINITE_BOUND;
             cl = true;
         }
         self.lb[j] = l;
@@ -195,7 +195,7 @@ impl StandardForm {
         self.b[r] = 0.0;
         // ≤-sense slack bounds: s ∈ [0, big], satisfied by s = 0.
         self.lb[self.n + r] = 0.0;
-        self.ub[self.n + r] = self.big;
+        self.ub[self.n + r] = INFINITE_BOUND;
         self.clamped[self.n + r] = true;
     }
 
@@ -210,8 +210,8 @@ impl StandardForm {
     ) -> usize {
         let r = self.m;
         let (sl, su) = match sense {
-            ConstraintSense::Le => (0.0, self.big),
-            ConstraintSense::Ge => (-self.big, 0.0),
+            ConstraintSense::Le => (0.0, INFINITE_BOUND),
+            ConstraintSense::Ge => (-INFINITE_BOUND, 0.0),
             ConstraintSense::Eq => (0.0, 0.0),
         };
         for &(j, v) in coeffs {
@@ -242,12 +242,12 @@ impl StandardForm {
         let mut l = lb;
         let mut u = ub;
         let mut cl = false;
-        if l.is_infinite() || l < -self.big {
-            l = -self.big;
+        if l.is_infinite() || l < -INFINITE_BOUND {
+            l = -INFINITE_BOUND;
             cl = true;
         }
-        if u.is_infinite() || u > self.big {
-            u = self.big;
+        if u.is_infinite() || u > INFINITE_BOUND {
+            u = INFINITE_BOUND;
             cl = true;
         }
         self.cols.push(Vec::new());
@@ -342,7 +342,7 @@ mod tests {
         m.add_le("le", LinExpr::from(x), 5.0);
         m.add_ge("ge", LinExpr::from(x), 1.0);
         m.add_eq("eq", LinExpr::from(x), 2.0);
-        let sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let sf = StandardForm::from_model(&m);
         assert_eq!(sf.m, 3);
         assert_eq!(sf.lb[1], 0.0); // ≤ slack
         assert!(sf.ub[1] > 1e8);
@@ -356,7 +356,7 @@ mod tests {
         let mut m = Model::new("t");
         let x = m.continuous("x", 0.0, 1.0).unwrap();
         m.set_objective(crate::Objective::Maximize, LinExpr::term(x, 3.0) + 2.0);
-        let sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let sf = StandardForm::from_model(&m);
         assert_eq!(sf.c[0], -3.0);
         // internal optimum -3 maps back to user objective 3 + offset 2.
         assert_eq!(sf.user_objective(-3.0), 5.0);
@@ -369,7 +369,7 @@ mod tests {
         let y = m.continuous("y", 0.0, 1.0).unwrap();
         m.add_le("r0", LinExpr::term(x, 2.0) + LinExpr::term(y, -3.0), 1.0);
         m.add_ge("r1", LinExpr::from(y), 0.5);
-        let sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let sf = StandardForm::from_model(&m);
         assert_eq!(sf.row(0), &[(0, 2.0), (1, -3.0)]);
         assert_eq!(sf.row(1), &[(1, 1.0)]);
         // Every column nonzero appears exactly once in its row mirror.
@@ -384,9 +384,9 @@ mod tests {
         let x = m.continuous("x", 0.0, 1.0).unwrap();
         let y = m.continuous("y", 0.0, 1.0).unwrap();
         m.add_le("r0", LinExpr::term(x, 2.0) + LinExpr::term(y, -3.0), 1.0);
-        let mut sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let mut sf = StandardForm::from_model(&m);
         let (n0, m0) = (sf.n, sf.m);
-        sf.add_cut_row(&[(0, 1.0), (1, 1.0)], 0.5, -sf.big, 0.0);
+        sf.add_cut_row(&[(0, 1.0), (1, 1.0)], 0.5, -INFINITE_BOUND, 0.0);
         assert_eq!((sf.n, sf.m), (n0, m0 + 1));
         assert_eq!(sf.row(m0), &[(0, 1.0), (1, 1.0)]);
         assert_eq!(sf.b[m0], 0.5);
@@ -418,13 +418,12 @@ mod tests {
             }
             m
         };
-        let opts = SolverOptions::default();
-        let mut patched = StandardForm::from_model(&build(false), &opts);
+        let mut patched = StandardForm::from_model(&build(false));
         patched.set_rhs(0, 4.0);
         let z = patched.append_var(0.0, f64::INFINITY, 2.5);
         patched.append_model_row(&[(z, 1.0), (0, 1.0)], 3.0, ConstraintSense::Eq);
         patched.set_var_bounds(0, 1.0, 10.0);
-        let rebuilt = StandardForm::from_model(&build(true), &opts);
+        let rebuilt = StandardForm::from_model(&build(true));
         assert_eq!(patched.n, rebuilt.n);
         assert_eq!(patched.m, rebuilt.m);
         assert_eq!(patched.b, rebuilt.b);
@@ -448,7 +447,7 @@ mod tests {
         let y = m.continuous("y", 0.0, 1.0).unwrap();
         m.add_le("r0", LinExpr::term(x, 2.0) + LinExpr::from(y), 1.0);
         m.add_ge("r1", LinExpr::from(y), 0.5);
-        let mut sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let mut sf = StandardForm::from_model(&m);
         sf.tombstone_row(0);
         assert!(sf.row(0).is_empty());
         assert!(sf.cols[0].is_empty());
@@ -463,7 +462,7 @@ mod tests {
         let mut m = Model::new("t");
         let x = m.continuous("x", 0.0, 10.0).unwrap();
         m.add_le("r", LinExpr::from(x) + 1.5, 5.0);
-        let sf = StandardForm::from_model(&m, &SolverOptions::default());
+        let sf = StandardForm::from_model(&m);
         assert_eq!(sf.b[0], 3.5);
     }
 }

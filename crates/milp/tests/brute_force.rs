@@ -38,7 +38,7 @@ proptest! {
         let (m, _) = build(&milp);
         let opts = SolverOptions::default()
             .node_order(NodeOrder::BestBound)
-            .branch_rule(BranchRule::PseudoCost);
+            .branch_rule(BranchRule::Reliability);
         let sol = m.solve_with(&opts).expect("solver must not error");
         match truth {
             None => prop_assert_eq!(sol.status(), SolveStatus::Infeasible),

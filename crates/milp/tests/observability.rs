@@ -326,7 +326,10 @@ fn cancellation_mid_solve_parallel_returns_best_incumbent() {
     let token = CancelToken::new();
     let mut model = hard_knapsack(26);
     model.set_warm_start(vec![0.0; 26]).unwrap();
+    // Reliability branching can prove this knapsack on four threads in
+    // 10-16 nodes, before the cancel lands; most-fractional takes more.
     let opts = SolverOptions::default()
+        .branch_rule(BranchRule::MostFractional)
         .threads(4)
         .observer(cancel_after_nodes(&token, 20))
         .cancel_token(token.clone());

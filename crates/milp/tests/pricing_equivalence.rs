@@ -1,6 +1,6 @@
 //! Pricing-rule and warm-start equivalence.
 //!
-//! The leaving-row pricing rule (Dantzig / devex / dual steepest edge) and
+//! The leaving-row pricing rule (Dantzig / dual steepest edge) and
 //! the parent-basis warm start change *which* pivots the dual simplex makes
 //! and *where* each node LP starts — never the answer. The proptest blocks
 //! cross-check every pricing rule × warm-start combination against the
@@ -14,7 +14,7 @@ use common::{build_bounded as build, random_bounded as random_instance, RandomLp
 use ndp_milp::{Pricing, SolveStatus, SolverEvent, SolverOptions};
 use proptest::prelude::*;
 
-const ALL_PRICING: [Pricing; 3] = [Pricing::SteepestEdge, Pricing::Devex, Pricing::Dantzig];
+const ALL_PRICING: [Pricing; 2] = [Pricing::SteepestEdge, Pricing::Dantzig];
 
 /// Solves single-threaded under one pricing × warm-start configuration.
 fn solve_config(lp: &RandomLp, pricing: Pricing, warm: bool) -> (SolveStatus, f64) {
