@@ -144,7 +144,93 @@ fn scan_candidates(alive: &[usize], ccount: &[usize]) -> [usize; SEARCH_COLS] {
     cand
 }
 
+/// Growable lists stored back to back in one buffer: the per-call work
+/// space of [`LuFactors::factorize`], so a factorization allocates a fixed
+/// number of buffers instead of one per column, row and step. Each list
+/// owns a segment of `data`; a push into a full segment moves the list to
+/// the end of `data` with twice the room and leaves a hole behind. The
+/// operations mirror `Vec`'s, element order included.
+struct Lists<T> {
+    data: Vec<T>,
+    seg: Vec<Segment>,
+}
+
+#[derive(Clone, Copy)]
+struct Segment {
+    start: usize,
+    len: usize,
+    cap: usize,
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// Empty lists laid out back to back with the given capacities.
+    fn with_capacities(caps: impl ExactSizeIterator<Item = usize>) -> Self {
+        let mut seg = Vec::with_capacity(caps.len());
+        let mut start = 0;
+        for cap in caps {
+            seg.push(Segment { start, len: 0, cap });
+            start += cap;
+        }
+        let data = vec![T::default(); start];
+        Lists { data, seg }
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        let s = self.seg[i];
+        &self.data[s.start..s.start + s.len]
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut [T] {
+        let s = self.seg[i];
+        &mut self.data[s.start..s.start + s.len]
+    }
+
+    fn push(&mut self, i: usize, item: T) {
+        let s = &mut self.seg[i];
+        if s.len == s.cap {
+            let start = self.data.len();
+            let cap = (2 * s.cap).max(4);
+            self.data.extend_from_within(s.start..s.start + s.len);
+            self.data.resize(start + cap, T::default());
+            (s.start, s.cap) = (start, cap);
+        }
+        self.data[s.start + s.len] = item;
+        s.len += 1;
+    }
+
+    /// `Vec::swap_remove` on list `i`.
+    fn swap_remove(&mut self, i: usize, k: usize) -> T {
+        let s = &mut self.seg[i];
+        let item = self.data[s.start + k];
+        s.len -= 1;
+        self.data[s.start + k] = self.data[s.start + s.len];
+        item
+    }
+
+    /// `Vec::retain` on list `i`: visits every item once, in order.
+    fn retain(&mut self, i: usize, mut keep: impl FnMut(T) -> bool) {
+        let s = &mut self.seg[i];
+        let mut kept = s.start;
+        for k in s.start..s.start + s.len {
+            let item = self.data[k];
+            if keep(item) {
+                self.data[kept] = item;
+                kept += 1;
+            }
+        }
+        s.len = kept - s.start;
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.seg[i].len = 0;
+    }
+}
+
 /// A sparse LU factorization of one basis matrix.
+///
+/// `L` and `U` are stored column by column in elimination-step space, each
+/// in one flat buffer: column `k` of `L` is `l_entries[l_start[k]..l_start[k + 1]]`,
+/// and likewise for `U`.
 #[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
@@ -152,28 +238,32 @@ pub(crate) struct LuFactors {
     row_at: Vec<usize>,
     /// `col_at[k]` = basis position eliminated at step `k`.
     col_at: Vec<usize>,
-    /// `L` columns in step space: `l_cols[k]` holds `(step, multiplier)`
-    /// with `step > k`; the unit diagonal is implicit.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// `U` columns in step space: `u_cols[k]` holds `(step, value)` with
-    /// `step < k`.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    /// Offsets of the `L` columns in `l_entries` (length `m + 1`).
+    l_start: Vec<usize>,
+    /// `L` entries `(step, multiplier)` with `step > k` in column `k`; the
+    /// unit diagonal is implicit.
+    l_entries: Vec<(usize, f64)>,
+    /// Offsets of the `U` columns in `u_entries` (length `m + 1`).
+    u_start: Vec<usize>,
+    /// `U` entries `(step, value)` with `step < k` in column `k`.
+    u_entries: Vec<(usize, f64)>,
     /// `U` diagonal by step.
     u_diag: Vec<f64>,
 }
 
-/// `clone_from` copies into the existing factor storage (every `L`/`U`
-/// column keeps its allocation and grows only when the source column is
-/// longer), so rolling a simplex state back to a checkpoint costs O(nnz);
-/// a derived `clone_from` would reallocate every column.
+/// `clone_from` copies into the existing factor buffers (growing one only
+/// when the source is longer), so rolling a simplex state back to a
+/// checkpoint costs O(nnz); a derived `clone_from` would reallocate them.
 impl Clone for LuFactors {
     fn clone(&self) -> Self {
         LuFactors {
             m: self.m,
             row_at: self.row_at.clone(),
             col_at: self.col_at.clone(),
-            l_cols: self.l_cols.clone(),
-            u_cols: self.u_cols.clone(),
+            l_start: self.l_start.clone(),
+            l_entries: self.l_entries.clone(),
+            u_start: self.u_start.clone(),
+            u_entries: self.u_entries.clone(),
             u_diag: self.u_diag.clone(),
         }
     }
@@ -182,8 +272,10 @@ impl Clone for LuFactors {
         self.m = source.m;
         self.row_at.clone_from(&source.row_at);
         self.col_at.clone_from(&source.col_at);
-        self.l_cols.clone_from(&source.l_cols);
-        self.u_cols.clone_from(&source.u_cols);
+        self.l_start.clone_from(&source.l_start);
+        self.l_entries.clone_from(&source.l_entries);
+        self.u_start.clone_from(&source.u_start);
+        self.u_entries.clone_from(&source.u_entries);
         self.u_diag.clone_from(&source.u_diag);
     }
 }
@@ -195,18 +287,30 @@ impl LuFactors {
             m,
             row_at: (0..m).collect(),
             col_at: (0..m).collect(),
-            l_cols: vec![Vec::new(); m],
-            u_cols: vec![Vec::new(); m],
+            l_start: vec![0; m + 1],
+            l_entries: Vec::new(),
+            u_start: vec![0; m + 1],
+            u_entries: Vec::new(),
             u_diag: vec![1.0; m],
         }
+    }
+
+    /// Column `k` of `L`.
+    #[inline]
+    fn l_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.l_entries[self.l_start[k]..self.l_start[k + 1]]
+    }
+
+    /// Column `k` of `U`.
+    #[inline]
+    fn u_col(&self, k: usize) -> &[(usize, f64)] {
+        &self.u_entries[self.u_start[k]..self.u_start[k + 1]]
     }
 
     /// Total stored nonzeros in `L` and `U` (diagnostics).
     #[allow(dead_code)] // exercised in tests
     pub fn fill(&self) -> usize {
-        self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
-            + self.m
+        self.l_entries.len() + self.u_entries.len() + self.m
     }
 
     /// Factorizes the basis `B = [A_{basis[0]} … A_{basis[m−1]}]`.
@@ -227,26 +331,41 @@ impl LuFactors {
     /// (a numerically empty column/row in the active submatrix).
     pub fn factorize(sf: &StandardForm, basis: &[usize]) -> Result<Self> {
         let m = basis.len();
+        let len = |j: usize| match sf.column(j) {
+            ColumnRef::Structural(nz) => nz.len(),
+            ColumnRef::Slack(_) => 1,
+        };
         // Active submatrix, column-major over basis positions; entries keep
-        // original row indices. `rows_touch[r]` lists the positions whose
-        // column (may) hold an entry in row `r`.
-        let mut acols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut rows_touch: Vec<Vec<usize>> = vec![Vec::new(); m];
+        // original row indices. Each list starts with room for one fill.
         let mut rcount = vec![0usize; m];
         let mut ccount = vec![0usize; m];
-        let mut singles = Singletons::new(m);
+        let nnz: usize = basis.iter().map(|&j| len(j)).sum();
+        let mut acols: Lists<(usize, f64)> =
+            Lists::with_capacities(basis.iter().map(|&j| len(j) + 1));
         for (pos, &j) in basis.iter().enumerate() {
-            let col: Vec<(usize, f64)> = match sf.column(j) {
-                ColumnRef::Structural(nz) => nz.to_vec(),
-                ColumnRef::Slack(r) => vec![(r, 1.0)],
+            let slack;
+            let col = match sf.column(j) {
+                ColumnRef::Structural(nz) => nz,
+                ColumnRef::Slack(r) => {
+                    slack = [(r, 1.0)];
+                    &slack[..]
+                }
             };
-            for &(r, _) in &col {
+            for &(r, v) in col {
                 rcount[r] += 1;
-                rows_touch[r].push(pos);
+                acols.push(pos, (r, v));
             }
             ccount[pos] = col.len();
-            singles.enter(pos, col.len());
-            acols.push(col);
+        }
+        // `rows_touch` lists, per row, the positions whose column (may)
+        // hold an entry in that row, in position order.
+        let mut rows_touch: Lists<usize> = Lists::with_capacities(rcount.iter().map(|&k| k + 1));
+        let mut singles = Singletons::new(m);
+        for (pos, &count) in ccount.iter().enumerate() {
+            for &(r, _) in acols.get(pos) {
+                rows_touch.push(r, pos);
+            }
+            singles.enter(pos, count);
         }
         // The alive positions in ascending order, built when the index
         // first cannot answer and pruned of dead columns at each later scan.
@@ -257,8 +376,11 @@ impl LuFactors {
         let mut row_step = vec![usize::MAX; m]; // original row -> step
         let mut row_at = Vec::with_capacity(m);
         let mut col_at = Vec::with_capacity(m);
-        let mut l_raw: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m); // original-row space
-        let mut u_by_pos: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m]; // (step, value)
+        // L columns in original-row space until the final re-index.
+        let mut l_start = Vec::with_capacity(m + 1);
+        let mut l_entries: Vec<(usize, f64)> = Vec::with_capacity(nnz);
+        // U entries `(step, value)` by basis position.
+        let mut u_by_pos: Lists<(usize, f64)> = Lists::with_capacities(ccount.iter().copied());
         let mut u_diag = Vec::with_capacity(m);
         // Dense scratch: marker[r] = position+1 of row r in the column being
         // updated (0 = absent).
@@ -274,7 +396,7 @@ impl LuFactors {
             let mut best: Option<(usize, usize, f64, u64)> = None; // (row, col, val, cost)
             for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
                 // Compact: drop dead rows and numerically vanished entries.
-                acols[c].retain(|&(r, v)| {
+                acols.retain(c, |(r, v)| {
                     if !row_alive[r] {
                         return false;
                     }
@@ -284,14 +406,15 @@ impl LuFactors {
                     }
                     true
                 });
-                singles.recount(c, ccount[c], acols[c].len());
-                ccount[c] = acols[c].len();
-                let colmax = acols[c].iter().map(|&(_, v)| v.abs()).fold(0.0, f64::max);
+                let col = acols.get(c);
+                singles.recount(c, ccount[c], col.len());
+                ccount[c] = col.len();
+                let colmax = col.iter().map(|&(_, v)| v.abs()).fold(0.0, f64::max);
                 if colmax < PIVOT_FLOOR {
                     // An alive column with no usable entry can never pivot.
                     return Err(MilpError::SingularBasis);
                 }
-                for &(r, v) in &acols[c] {
+                for &(r, v) in col {
                     if v.abs() < PIVOT_THRESHOLD * colmax || v.abs() < PIVOT_FLOOR {
                         continue;
                     }
@@ -317,66 +440,75 @@ impl LuFactors {
             col_alive[pc] = false;
             singles.leave(pc, ccount[pc]);
             row_alive[pr] = false;
-            // The pivot column leaves the active submatrix.
-            let mut mult: Vec<(usize, f64)> = Vec::new();
-            for &(r, v) in &acols[pc] {
+            // The pivot column leaves the active submatrix; its multipliers
+            // are L's column for this step.
+            let l_first = l_entries.len();
+            l_start.push(l_first);
+            for &(r, v) in acols.get(pc) {
                 rcount[r] = rcount[r].saturating_sub(1);
                 if r != pr {
-                    mult.push((r, v / pv));
+                    l_entries.push((r, v / pv));
                 }
             }
-            acols[pc].clear();
+            acols.clear(pc);
+            let mult = &l_entries[l_first..];
 
-            // Update every alive column holding the pivot row.
-            let touched = std::mem::take(&mut rows_touch[pr]);
-            for &c in &touched {
+            // Update every alive column holding the pivot row. Row `pr` is
+            // dead, so no fill lands in its list while it is walked.
+            for t in 0..rows_touch.get(pr).len() {
+                let c = rows_touch.get(pr)[t];
                 if !col_alive[c] {
                     continue;
                 }
-                let Some(pos) = acols[c].iter().position(|&(r, _)| r == pr) else {
+                let Some(pos) = acols.get(c).iter().position(|&(r, _)| r == pr) else {
                     continue; // stale reference (entry dropped earlier)
                 };
                 let before = ccount[c];
-                let (_, vpc) = acols[c].swap_remove(pos);
+                let (_, vpc) = acols.swap_remove(c, pos);
                 ccount[c] = ccount[c].saturating_sub(1);
-                u_by_pos[c].push((step, vpc));
+                u_by_pos.push(c, (step, vpc));
                 if !mult.is_empty() && vpc != 0.0 {
                     // Scatter `col_c ← col_c − vpc · mult` with a dense marker.
-                    for (p, &(r, _)) in acols[c].iter().enumerate() {
+                    for (p, &(r, _)) in acols.get(c).iter().enumerate() {
                         marker[r] = p + 1;
                     }
-                    for &(r, l) in &mult {
+                    for &(r, l) in mult {
                         let delta = -l * vpc;
                         match marker[r] {
                             0 => {
                                 if delta.abs() >= DROP_TOL && row_alive[r] {
-                                    acols[c].push((r, delta));
+                                    acols.push(c, (r, delta));
                                     ccount[c] += 1;
                                     rcount[r] += 1;
-                                    rows_touch[r].push(c);
+                                    rows_touch.push(r, c);
                                 }
                             }
-                            p => acols[c][p - 1].1 += delta,
+                            p => acols.get_mut(c)[p - 1].1 += delta,
                         }
                     }
-                    for &(r, _) in &acols[c] {
+                    for &(r, _) in acols.get(c) {
                         marker[r] = 0;
                     }
                 }
                 singles.recount(c, before, ccount[c]);
             }
-            l_raw.push(mult);
+            rows_touch.clear(pr);
+        }
+        l_start.push(l_entries.len());
+
+        // Re-index L into step space and lay U out in elimination order.
+        for e in &mut l_entries {
+            e.0 = row_step[e.0];
+        }
+        let mut u_start = Vec::with_capacity(m + 1);
+        let mut u_entries = Vec::with_capacity(u_by_pos.seg.iter().map(|s| s.len).sum());
+        u_start.push(0);
+        for &pos in &col_at {
+            u_entries.extend_from_slice(u_by_pos.get(pos));
+            u_start.push(u_entries.len());
         }
 
-        // Re-index L into step space and U into elimination order.
-        let l_cols: Vec<Vec<(usize, f64)>> = l_raw
-            .into_iter()
-            .map(|col| col.into_iter().map(|(r, v)| (row_step[r], v)).collect())
-            .collect();
-        let u_cols: Vec<Vec<(usize, f64)>> =
-            col_at.iter().map(|&pos| std::mem::take(&mut u_by_pos[pos])).collect();
-
-        Ok(LuFactors { m, row_at, col_at, l_cols, u_cols, u_diag })
+        Ok(LuFactors { m, row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag })
     }
 
     /// Solves `B x = v` in place (`v` indexed by row on entry, by basis
@@ -391,7 +523,7 @@ impl LuFactors {
         for k in 0..m {
             let x = work[k];
             if x != 0.0 {
-                for &(i, l) in &self.l_cols[k] {
+                for &(i, l) in self.l_col(k) {
                     work[i] -= l * x;
                 }
             }
@@ -401,7 +533,7 @@ impl LuFactors {
             let x = work[k] / self.u_diag[k];
             work[k] = x;
             if x != 0.0 {
-                for &(i, u) in &self.u_cols[k] {
+                for &(i, u) in self.u_col(k) {
                     work[i] -= u * x;
                 }
             }
@@ -418,7 +550,7 @@ impl LuFactors {
         // Uᵀ forward substitution (gather form).
         for k in 0..m {
             let mut s = c[self.col_at[k]];
-            for &(i, u) in &self.u_cols[k] {
+            for &(i, u) in self.u_col(k) {
                 s -= u * work[i];
             }
             work[k] = s / self.u_diag[k];
@@ -426,7 +558,7 @@ impl LuFactors {
         // Lᵀ backward substitution (gather form).
         for k in (0..m).rev() {
             let mut s = work[k];
-            for &(i, l) in &self.l_cols[k] {
+            for &(i, l) in self.l_col(k) {
                 s -= l * work[i];
             }
             work[k] = s;
@@ -660,13 +792,14 @@ mod tests {
         let sf = fixture();
         let lu = LuFactors::factorize(&sf, &[0, 1, 2, 3, 4, 11]).unwrap();
         let mut to = lu.clone();
-        let cols = |f: &LuFactors| -> Vec<*const (usize, f64)> {
-            f.l_cols.iter().chain(&f.u_cols).filter(|c| !c.is_empty()).map(|c| c.as_ptr()).collect()
+        let buffers = |f: &LuFactors| -> [*const (usize, f64); 2] {
+            [f.l_entries.as_ptr(), f.u_entries.as_ptr()]
         };
-        let before = cols(&to);
-        assert!(!before.is_empty(), "fixture must have off-diagonal factor entries");
+        let before = buffers(&to);
+        assert!(lu.fill() > lu.m, "fixture must have off-diagonal factor entries");
         to.clone_from(&lu);
-        assert_eq!(cols(&to), before);
+        assert_eq!(buffers(&to), before);
+        assert_eq!((&to.l_entries, &to.u_entries), (&lu.l_entries, &lu.u_entries));
         assert_eq!(to.u_diag, lu.u_diag);
 
         let mut etas = EtaFile::default();
@@ -849,7 +982,19 @@ mod tests {
         let u_cols: Vec<Vec<(usize, f64)>> =
             col_at.iter().map(|&pos| std::mem::take(&mut u_by_pos[pos])).collect();
 
-        Ok(LuFactors { m, row_at, col_at, l_cols, u_cols, u_diag })
+        // Lay the columns out back to back, as the factor storage holds them.
+        let flat = |cols: Vec<Vec<(usize, f64)>>| {
+            let start = std::iter::once(0)
+                .chain(cols.iter().scan(0, |end, c| {
+                    *end += c.len();
+                    Some(*end)
+                }))
+                .collect();
+            (start, cols.concat())
+        };
+        let (l_start, l_entries) = flat(l_cols);
+        let (u_start, u_entries) = flat(u_cols);
+        Ok(LuFactors { m, row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag })
     }
 
     /// `Ok` when both results are errors, or both are factors with the same
@@ -858,8 +1003,8 @@ mod tests {
         a: &Result<LuFactors>,
         b: &Result<LuFactors>,
     ) -> std::result::Result<(), String> {
-        let bits = |cols: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
-            cols.iter().map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect()).collect()
+        let bits = |entries: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            entries.iter().map(|&(i, v)| (i, v.to_bits())).collect()
         };
         match (a, b) {
             (Err(MilpError::SingularBasis), Err(MilpError::SingularBasis)) => Ok(()),
@@ -871,7 +1016,11 @@ mod tests {
                         a.row_at, b.row_at, a.col_at, b.col_at
                     ));
                 }
-                if bits(&a.l_cols) != bits(&b.l_cols) || bits(&a.u_cols) != bits(&b.u_cols) {
+                if a.l_start != b.l_start
+                    || a.u_start != b.u_start
+                    || bits(&a.l_entries) != bits(&b.l_entries)
+                    || bits(&a.u_entries) != bits(&b.u_entries)
+                {
                     return Err("L or U entries differ".into());
                 }
                 if diag(a) != diag(b) {

@@ -85,20 +85,26 @@ pub(crate) enum Stat {
     Upper,
 }
 
-/// A restorable image of the simplex basis: the basic column set plus every
-/// column's bound status. Captured with [`Simplex::snapshot`] when a
-/// branch-and-bound node is expanded and installed in its children with
+/// A restorable image of the simplex basis: the basic column set, every
+/// column's bound status and the dual steepest-edge weight of every basis
+/// row. Captured with [`Simplex::snapshot`] when a branch-and-bound node is
+/// expanded and installed in its children with
 /// [`Simplex::restore_snapshot`], so each child LP starts one bound change
 /// away from its parent's optimal basis instead of wherever the worker's
-/// basis drifted (or the all-slack basis).
+/// basis drifted (or the all-slack basis), and prices its first pivots with
+/// that basis's weights instead of unit ones.
 ///
-/// Deliberately excludes basic *values* and reduced costs: both depend on
-/// the node's bounds and are recomputed on restore, which also keeps the
-/// snapshot small enough to share across threads by `Arc`.
+/// The weights `‖eᵣᵀB⁻¹‖²` depend on the basis alone, so they hold under
+/// any node's bounds; they cost 8·m bytes per snapshot. Basic *values* and
+/// reduced costs depend on the node's bounds and are recomputed on restore,
+/// which also keeps the snapshot small enough to share across threads by
+/// `Arc`.
 #[derive(Debug, Clone)]
 pub(crate) struct BasisSnapshot {
     pub(crate) basis: Vec<usize>,
     stat: Vec<Stat>,
+    /// Pricing weight per basis row, as [`Simplex::weights`] held them.
+    weights: Vec<f64>,
 }
 
 impl BasisSnapshot {
@@ -109,6 +115,8 @@ impl BasisSnapshot {
     /// lower bound; [`Simplex::restore_snapshot`] flips them to the dual
     /// feasible side and pads any rows appended after the snapshot, so the
     /// remapped snapshot restores onto any monotone extension of the form.
+    /// Appended columns are nonbasic and move no basis position, so the
+    /// basis matrix and with it every pricing weight carry over unchanged.
     pub(crate) fn remap_structural_append(&self, old_n: usize, new_n: usize) -> BasisSnapshot {
         debug_assert!(new_n >= old_n);
         debug_assert!(self.stat.len() >= old_n);
@@ -119,13 +127,14 @@ impl BasisSnapshot {
         stat.extend_from_slice(&self.stat[..old_n]);
         stat.extend(std::iter::repeat_n(Stat::Lower, k));
         stat.extend_from_slice(&self.stat[old_n..]);
-        BasisSnapshot { basis, stat }
+        BasisSnapshot { basis, stat, weights: self.weights.clone() }
     }
 }
 
 /// The LP state [`Simplex::restore_snapshot`] leaves behind: basis, bound
 /// statuses, the kernel (fresh factors with an empty eta file, or the dense
-/// inverse), basic values, reduced costs and pricing weights. Captured with
+/// inverse), basic values, reduced costs and the pricing weights the
+/// snapshot carried. Captured with
 /// [`Simplex::checkpoint_into`] and reinstalled with [`Simplex::rollback`],
 /// which reproduces the captured state bit for bit — without a
 /// refactorization — as long as the bounds and the form are those of the
@@ -151,8 +160,9 @@ enum Kernel {
     /// Explicit dense row-major `m × m` inverse.
     Dense { binv: Vec<f64> },
     /// Sparse LU factors plus the product-form eta file accumulated since
-    /// the last refactorization.
-    Lu { lu: LuFactors, etas: EtaFile, eta_limit: usize },
+    /// the last refactorization. The factors are boxed so the two variants
+    /// stay close in size; a refactorization writes into the box.
+    Lu { lu: Box<LuFactors>, etas: EtaFile, eta_limit: usize },
 }
 
 /// `clone_from` between kernels of the same kind copies into the existing
@@ -195,7 +205,7 @@ impl Kernel {
                 Kernel::Dense { binv }
             }
             BasisKernel::SparseLu => Kernel::Lu {
-                lu: LuFactors::identity(m),
+                lu: Box::new(LuFactors::identity(m)),
                 etas: EtaFile::default(),
                 eta_limit: ETA_LIMIT,
             },
@@ -212,7 +222,7 @@ impl Kernel {
                 }
             }
             Kernel::Lu { lu, etas, .. } => {
-                *lu = LuFactors::identity(m);
+                **lu = LuFactors::identity(m);
                 etas.clear();
             }
         }
@@ -226,7 +236,7 @@ impl Kernel {
                 Ok(())
             }
             Kernel::Lu { lu, etas, .. } => {
-                *lu = LuFactors::factorize(sf, basis)?;
+                **lu = LuFactors::factorize(sf, basis)?;
                 etas.clear();
                 Ok(())
             }
@@ -459,12 +469,15 @@ pub(crate) struct Simplex {
     /// Leaving-row selection rule.
     pricing: Pricing,
     /// Reference weights for steepest-edge row pricing, one per basis row.
-    /// `weights[r]` tracks `‖eᵣᵀ B⁻¹‖²`. All-ones under Dantzig. Weights
-    /// survive refactorizations (the basis is unchanged) but reset to the
-    /// unit framework whenever the basis is *replaced* (slack reset,
-    /// snapshot restore); a [`Simplex::rollback`] reinstalls the weights of
-    /// its checkpoint, which are the unit ones when the checkpoint was taken
-    /// right after a snapshot restore.
+    /// `weights[r]` tracks `‖eᵣᵀ B⁻¹‖²`. All-ones under Dantzig, which
+    /// never reads them. They depend on the basis alone, so they survive
+    /// refactorizations and travel with it: a [`BasisSnapshot`] carries
+    /// them and [`Simplex::restore_snapshot`] reinstalls them, a
+    /// [`Simplex::rollback`] reinstalls its checkpoint's, and
+    /// [`Simplex::append_cut_rows`] keeps every existing row's weight and
+    /// gives each new row its exact norm. Only the slack basis (`B = I`,
+    /// [`Simplex::new`] and [`Simplex::reset_to_slack_basis`]) starts from
+    /// unit weights, which are then exact.
     weights: Vec<f64>,
     /// Scratch buffers reused across pivots.
     scratch_rho: Vec<f64>,
@@ -651,23 +664,39 @@ impl Simplex {
         }
     }
 
-    /// Resets the pricing reference weights to the unit framework.
-    fn reset_weights(&mut self) {
-        self.weights.iter_mut().for_each(|w| *w = 1.0);
+    /// Sets the pricing weight of every basis row from `first` on to its
+    /// exact `‖eᵣᵀB⁻¹‖²`, one BTRAN per row (unit weights under Dantzig,
+    /// which never reads them). Used for rows whose slack just joined the
+    /// basis below an existing block: for `[[B, 0], [C, I]]` row `r` of the
+    /// inverse is `[−C_r B⁻¹, e_r]`, whose norm is `1 + ‖C_r B⁻¹‖²`.
+    fn set_exact_weights_from(&mut self, first: usize) {
+        for r in first..self.m {
+            self.weights[r] = match self.pricing {
+                Pricing::Dantzig => 1.0,
+                Pricing::SteepestEdge => {
+                    self.kernel.unit_row(r, &mut self.scratch_rho, &mut self.scratch_work);
+                    self.scratch_rho.iter().map(|&x| x * x).sum::<f64>().max(WEIGHT_FLOOR)
+                }
+            };
+        }
     }
 
-    /// Captures the current basis and bound statuses for later
-    /// [`Simplex::restore_snapshot`].
+    /// Captures the current basis, bound statuses and pricing weights for
+    /// later [`Simplex::restore_snapshot`].
     pub fn snapshot(&self) -> BasisSnapshot {
-        BasisSnapshot { basis: self.basis.clone(), stat: self.stat.clone() }
+        BasisSnapshot {
+            basis: self.basis.clone(),
+            stat: self.stat.clone(),
+            weights: self.weights.clone(),
+        }
     }
 
     /// Installs a previously captured basis: copies the basic set and bound
     /// statuses, refactorizes through the kernel and recomputes reduced
     /// costs and basic values under the *current* bounds (apply bound edits
-    /// before calling this). Pricing weights reset to the unit framework —
-    /// the snapshot basis is near-optimal for the child node, so the exact
-    /// reference is rebuilt within a handful of pivots.
+    /// before calling this). The snapshot's pricing weights are reinstalled
+    /// as they were: they depend on the basis alone, so they are as exact
+    /// under the new bounds as they were at capture.
     ///
     /// The restored state is a pure function of the snapshot, the current
     /// bounds and the form. A caller that re-installs one snapshot several
@@ -686,7 +715,8 @@ impl Simplex {
     /// separation grows the LP monotonically) is padded: every missing
     /// trailing cut row keeps its own slack basic, giving the block
     /// lower-triangular basis `[[B_snap, 0], [C, I]]`, nonsingular whenever
-    /// the snapshot basis is.
+    /// the snapshot basis is. The snapshot's rows keep their weights, which
+    /// that basis leaves exact, and each padded row gets its exact norm.
     pub fn restore_snapshot(&mut self, snap: &BasisSnapshot) -> Result<()> {
         let snap_m = snap.basis.len();
         let snap_cols = snap.stat.len();
@@ -703,7 +733,8 @@ impl Simplex {
         self.refactorize()?;
         self.make_dual_feasible();
         self.recompute_xb();
-        self.reset_weights();
+        self.weights[..snap_m].copy_from_slice(&snap.weights);
+        self.set_exact_weights_from(snap_m);
         Ok(())
     }
 
@@ -761,7 +792,7 @@ impl Simplex {
         self.make_dual_feasible();
         self.recompute_xb();
         // Slack basis ⇒ B = I ⇒ every row norm is exactly 1.
-        self.reset_weights();
+        self.weights.fill(1.0);
     }
 
     /// Flips nonbasic variables whose reduced cost sign disagrees with their
@@ -1245,7 +1276,9 @@ impl Simplex {
     /// basis (the extended basis `[[B, 0], [C, I]]` is nonsingular whenever
     /// the current one is), so the following [`Simplex::optimize`] call
     /// re-optimizes *warm* with the dual simplex instead of cold-starting —
-    /// the classic cutting-plane recipe riding the PR 4 refactorize path.
+    /// the classic cutting-plane recipe. The extended inverse
+    /// `[[B⁻¹, 0], [−CB⁻¹, I]]` leaves every existing row's pricing weight
+    /// exact, so those are kept, and each new row gets its exact norm.
     ///
     /// # Errors
     ///
@@ -1256,6 +1289,7 @@ impl Simplex {
         if cuts.is_empty() {
             return Ok(());
         }
+        let old_m = self.m;
         for cut in cuts {
             let row = self.sf.m;
             let (sl, su) = match cut.sense {
@@ -1286,7 +1320,7 @@ impl Simplex {
         self.refactorize()?;
         self.make_dual_feasible();
         self.recompute_xb();
-        self.reset_weights();
+        self.set_exact_weights_from(old_m);
         Ok(())
     }
 
@@ -1508,6 +1542,85 @@ mod tests {
             if kernel == BasisKernel::SparseLu && eta_limit == 2 {
                 assert!(eta_refactors > 0, "probes must hit the eta limit");
             }
+        }
+    }
+
+    /// Asserts every pricing weight is the exact `‖eᵣᵀB⁻¹‖²` of the current
+    /// basis, from a dense inverse, within 1e-9 relative.
+    fn assert_exact_weights(s: &Simplex) {
+        let m = s.m;
+        let binv = dense_invert(&s.sf, &s.basis).unwrap();
+        for r in 0..m {
+            let exact: f64 = binv[r * m..(r + 1) * m].iter().map(|x| x * x).sum();
+            let w = s.weights[r];
+            assert!((w - exact).abs() <= 1e-9 * exact, "row {r}: weight {w} vs exact {exact}");
+        }
+    }
+
+    /// Two cuts over basic routes of the transport optimum, so each new
+    /// row's `C_r B⁻¹` is nonzero and its exact weight exceeds 1.
+    fn route_cuts(s: &Simplex) -> Vec<crate::cuts::Cut> {
+        let basic: Vec<usize> = (0..s.sf.n).filter(|&j| s.stat[j] == Stat::Basic).collect();
+        assert!(basic.len() >= 3, "fixture must have several basic routes");
+        [(basic[0], basic[1]), (basic[1], basic[2])]
+            .iter()
+            .map(|&(a, b)| crate::cuts::Cut {
+                coeffs: vec![(a, 1.0), (b, 1.0)],
+                rhs: s.value(a) + s.value(b) - 0.5,
+                sense: crate::cuts::CutSense::Le,
+                family: crate::cuts::CutFamily::Cover,
+                validity: crate::cuts::CutValidity::Global,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_restore_reinstalls_the_captured_weights() {
+        let sf = transport_fixture();
+        for kernel in [BasisKernel::SparseLu, BasisKernel::Dense] {
+            let mut s = Simplex::new(&sf, &SolverOptions::default().basis_kernel(kernel));
+            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+            let snap = s.snapshot();
+            assert!(snap.weights.iter().any(|&w| w != 1.0), "fixture must move the weights");
+            s.reset_to_slack_basis();
+            s.restore_snapshot(&snap).unwrap();
+            assert_eq!(bits(&s.weights), bits(&snap.weights), "{kernel:?}");
+            assert_exact_weights(&s);
+        }
+    }
+
+    #[test]
+    fn appended_cut_rows_keep_old_weights_and_get_exact_norms() {
+        let sf = transport_fixture();
+        for kernel in [BasisKernel::SparseLu, BasisKernel::Dense] {
+            let mut s = Simplex::new(&sf, &SolverOptions::default().basis_kernel(kernel));
+            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+            let before = s.weights.clone();
+            assert!(before.iter().any(|&w| w != 1.0), "fixture must move the weights");
+            let cuts = route_cuts(&s);
+            s.append_cut_rows(&cuts).unwrap();
+            let old_m = before.len();
+            assert_eq!(bits(&s.weights[..old_m]), bits(&before), "{kernel:?}");
+            assert!(s.weights[old_m..].iter().all(|&w| w > 1.0), "{:?}", &s.weights[old_m..]);
+            assert_exact_weights(&s);
+        }
+    }
+
+    #[test]
+    fn padded_restore_gives_the_padded_rows_exact_norms() {
+        let sf = transport_fixture();
+        for kernel in [BasisKernel::SparseLu, BasisKernel::Dense] {
+            let mut s = Simplex::new(&sf, &SolverOptions::default().basis_kernel(kernel));
+            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+            let snap = s.snapshot();
+            let cuts = route_cuts(&s);
+            s.append_cut_rows(&cuts).unwrap();
+            assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
+            s.restore_snapshot(&snap).unwrap();
+            let old_m = snap.weights.len();
+            assert_eq!(bits(&s.weights[..old_m]), bits(&snap.weights), "{kernel:?}");
+            assert!(s.weights[old_m..].iter().all(|&w| w > 1.0), "{:?}", &s.weights[old_m..]);
+            assert_exact_weights(&s);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The leaving-row pricing rule (Dantzig / dual steepest edge) and
 //! the parent-basis warm start change *which* pivots the dual simplex makes
-//! and *where* each node LP starts — never the answer. The proptest blocks
+//! and *where* each node LP starts — never the answer. The agreement checks
 //! cross-check every pricing rule × warm-start combination against the
 //! Dantzig/cold reference on random bounded MILPs, and the determinism
 //! tests pin that a `threads = 1` solve emits a bit-for-bit identical event
@@ -13,47 +13,81 @@ mod common;
 use common::{build_bounded as build, random_bounded as random_instance, RandomLp};
 use ndp_milp::{Pricing, SolveStatus, SolverEvent, SolverOptions};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 const ALL_PRICING: [Pricing; 2] = [Pricing::SteepestEdge, Pricing::Dantzig];
 
-/// Solves single-threaded under one pricing × warm-start configuration.
-fn solve_config(lp: &RandomLp, pricing: Pricing, warm: bool) -> (SolveStatus, f64) {
+/// Solves single-threaded under one pricing × warm-start configuration on
+/// top of `base`; returns the status, the objective and the node count.
+fn solve_config(
+    lp: &RandomLp,
+    base: &SolverOptions,
+    pricing: Pricing,
+    warm: bool,
+) -> (SolveStatus, f64, u64) {
     let m = build(lp);
-    let opts = SolverOptions::default().threads(1).pricing(pricing).warm_start(warm);
+    let opts = base.clone().threads(1).pricing(pricing).warm_start(warm);
     let sol = m.solve_with(&opts).expect("solve must not error");
-    (sol.status(), if sol.status().has_solution() { sol.objective_value() } else { 0.0 })
+    let obj = if sol.status().has_solution() { sol.objective_value() } else { 0.0 };
+    (sol.status(), obj, sol.node_count())
+}
+
+/// Random MILPs: every pricing rule, warm and cold, proves the same status
+/// and optimum as the Dantzig/cold reference, under the default options and
+/// again with presolve, root cuts and the root dive off. The defaults close
+/// most of these cases within two nodes, before a depth-first search first
+/// restores a parent snapshot; without those accelerators the search rests
+/// on branching, and the check fails unless at least a fifth of its cases
+/// explore three nodes or more under steepest edge with warm starts (the
+/// combination that restores snapshots with their pricing weights).
+#[test]
+fn all_pricing_warm_combinations_agree_on_milps() {
+    const CASES: usize = 120;
+    let strategy = random_instance(true);
+    let mut rng =
+        TestRng::for_test("pricing_equivalence::all_pricing_warm_combinations_agree_on_milps");
+    let bare = SolverOptions::default().presolve(false).cuts(false).heuristics(false);
+    let mut branching = 0;
+    for case in 0..CASES {
+        let lp = strategy.generate(&mut rng);
+        for (is_bare, base) in [(false, &SolverOptions::default()), (true, &bare)] {
+            let (st_ref, obj_ref, _) = solve_config(&lp, base, Pricing::Dantzig, false);
+            for pricing in ALL_PRICING {
+                for warm in [true, false] {
+                    if pricing == Pricing::Dantzig && !warm {
+                        continue;
+                    }
+                    let (st, obj, nodes) = solve_config(&lp, base, pricing, warm);
+                    assert_eq!(
+                        st, st_ref,
+                        "case {case}: status mismatch for {pricing:?}/warm={warm}"
+                    );
+                    if st_ref.has_solution() {
+                        assert!(
+                            (obj - obj_ref).abs() < 1e-6,
+                            "case {case}: {pricing:?}/warm={warm} found {obj} vs reference {obj_ref}"
+                        );
+                    }
+                    if is_bare && pricing == Pricing::SteepestEdge && warm {
+                        branching += usize::from(nodes >= 3);
+                    }
+                }
+            }
+        }
+    }
+    assert!(5 * branching >= CASES, "only {branching} of {CASES} cases explored three nodes");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
-    /// Random MILPs: every pricing rule, warm and cold, proves the same
-    /// status and optimum as the Dantzig/cold reference.
-    #[test]
-    fn all_pricing_warm_combinations_agree_on_milps(lp in random_instance(true)) {
-        let (st_ref, obj_ref) = solve_config(&lp, Pricing::Dantzig, false);
-        for pricing in ALL_PRICING {
-            for warm in [true, false] {
-                if pricing == Pricing::Dantzig && !warm {
-                    continue;
-                }
-                let (st, obj) = solve_config(&lp, pricing, warm);
-                prop_assert_eq!(st, st_ref,
-                    "status mismatch for {:?}/warm={}", pricing, warm);
-                if st_ref.has_solution() {
-                    prop_assert!((obj - obj_ref).abs() < 1e-6,
-                        "{:?}/warm={} found {} vs reference {}", pricing, warm, obj, obj_ref);
-                }
-            }
-        }
-    }
-
     /// Random pure LPs: same agreement without the branch and bound on top.
     #[test]
     fn all_pricing_warm_combinations_agree_on_lps(lp in random_instance(false)) {
-        let (st_ref, obj_ref) = solve_config(&lp, Pricing::Dantzig, false);
+        let base = SolverOptions::default();
+        let (st_ref, obj_ref, _) = solve_config(&lp, &base, Pricing::Dantzig, false);
         for pricing in ALL_PRICING {
-            let (st, obj) = solve_config(&lp, pricing, true);
+            let (st, obj, _) = solve_config(&lp, &base, pricing, true);
             prop_assert_eq!(st, st_ref, "status mismatch for {:?}", pricing);
             if st_ref.has_solution() {
                 prop_assert!((obj - obj_ref).abs() < 1e-6,
