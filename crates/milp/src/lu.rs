@@ -18,14 +18,19 @@
 //!   the remaining steps pay the `O(alive)` candidate scan.
 //! * [`EtaFile`] — product-form updates: each basis exchange appends one eta
 //!   vector instead of touching the factorization, so a pivot costs
-//!   O(nnz(B⁻¹A_q)). The file length is capped by the caller
-//!   (`SolverOptions::eta_limit`); exceeding it forces a refactorization.
-//! * Sparse **FTRAN/BTRAN** solves that skip structural zeros, so the cost
-//!   tracks the factor fill rather than `m²`.
+//!   O(nnz(B⁻¹A_q)). The file length is capped by the caller (the simplex's
+//!   eta limit); exceeding it forces a refactorization.
+//! * Sparse **FTRAN/BTRAN** solves whose work follows the nonzeros of the
+//!   right-hand side and of the factors, not `m²`. FTRAN takes a dense or a
+//!   sparse right-hand side ([`LuFactors::ftran_sparse`]), visits only the
+//!   nonempty `L` columns and skips every zero step of `U`. BTRAN scatters
+//!   over the rows of `U`, skipping zero steps, and gathers over the
+//!   nonempty `L` columns.
 //!
 //! Factors are stored in *elimination-step* space: step `k` pivoted original
 //! row `row_at[k]` and basis position `col_at[k]`. `L` is unit lower
-//! triangular (diagonal implicit), `U` upper triangular, both column-major.
+//! triangular (diagonal implicit), `U` upper triangular, both column-major;
+//! `U` is also kept by rows for the BTRAN scatter.
 
 use crate::error::{MilpError, Result};
 use crate::standard::{ColumnRef, StandardForm};
@@ -230,7 +235,11 @@ impl<T: Copy + Default> Lists<T> {
 ///
 /// `L` and `U` are stored column by column in elimination-step space, each
 /// in one flat buffer: column `k` of `L` is `l_entries[l_start[k]..l_start[k + 1]]`,
-/// and likewise for `U`.
+/// and likewise for `U`. Three arrays derived from those columns are built
+/// once per factorization ([`LuFactors::from_columns`]) so that a solve
+/// follows the nonzeros: the row→step map through which a sparse
+/// right-hand side enters FTRAN, the list of nonempty `L` columns, and `U`
+/// stored by rows for the BTRAN scatter.
 #[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
@@ -238,15 +247,26 @@ pub(crate) struct LuFactors {
     row_at: Vec<usize>,
     /// `col_at[k]` = basis position eliminated at step `k`.
     col_at: Vec<usize>,
+    /// `row_step[row_at[k]] = k`: the step that eliminated each original row.
+    row_step: Vec<usize>,
     /// Offsets of the `L` columns in `l_entries` (length `m + 1`).
     l_start: Vec<usize>,
     /// `L` entries `(step, multiplier)` with `step > k` in column `k`; the
     /// unit diagonal is implicit.
     l_entries: Vec<(usize, f64)>,
+    /// The steps whose `L` column holds an entry, ascending.
+    l_nonempty: Vec<usize>,
     /// Offsets of the `U` columns in `u_entries` (length `m + 1`).
     u_start: Vec<usize>,
-    /// `U` entries `(step, value)` with `step < k` in column `k`.
+    /// `U` entries `(step, value)` with `step < k` in column `k`, in
+    /// ascending step order (the order [`LuFactors::factorize`] eliminates
+    /// them in).
     u_entries: Vec<(usize, f64)>,
+    /// Offsets of the `U` rows in `u_row_entries` (length `m + 1`).
+    u_row_start: Vec<usize>,
+    /// `U` by rows: row `i` holds `(k, value)` for each entry `(i, value)`
+    /// of column `k`, in ascending `k`.
+    u_row_entries: Vec<(usize, f64)>,
     /// `U` diagonal by step.
     u_diag: Vec<f64>,
 }
@@ -260,10 +280,14 @@ impl Clone for LuFactors {
             m: self.m,
             row_at: self.row_at.clone(),
             col_at: self.col_at.clone(),
+            row_step: self.row_step.clone(),
             l_start: self.l_start.clone(),
             l_entries: self.l_entries.clone(),
+            l_nonempty: self.l_nonempty.clone(),
             u_start: self.u_start.clone(),
             u_entries: self.u_entries.clone(),
+            u_row_start: self.u_row_start.clone(),
+            u_row_entries: self.u_row_entries.clone(),
             u_diag: self.u_diag.clone(),
         }
     }
@@ -272,10 +296,14 @@ impl Clone for LuFactors {
         self.m = source.m;
         self.row_at.clone_from(&source.row_at);
         self.col_at.clone_from(&source.col_at);
+        self.row_step.clone_from(&source.row_step);
         self.l_start.clone_from(&source.l_start);
         self.l_entries.clone_from(&source.l_entries);
+        self.l_nonempty.clone_from(&source.l_nonempty);
         self.u_start.clone_from(&source.u_start);
         self.u_entries.clone_from(&source.u_entries);
+        self.u_row_start.clone_from(&source.u_row_start);
+        self.u_row_entries.clone_from(&source.u_row_entries);
         self.u_diag.clone_from(&source.u_diag);
     }
 }
@@ -283,15 +311,68 @@ impl Clone for LuFactors {
 impl LuFactors {
     /// Factors of the identity basis (the all-slack start).
     pub fn identity(m: usize) -> Self {
+        Self::from_columns(
+            (0..m).collect(),
+            (0..m).collect(),
+            vec![0; m + 1],
+            Vec::new(),
+            vec![0; m + 1],
+            Vec::new(),
+            vec![1.0; m],
+        )
+    }
+
+    /// Factors from their pivot sequence and their `L` and `U` columns,
+    /// with the derived solve indexes built: the row→step map, the
+    /// nonempty `L` columns and the rows of `U`. Each `U` column must list
+    /// its steps in ascending order, which makes each row list ascending
+    /// too.
+    fn from_columns(
+        row_at: Vec<usize>,
+        col_at: Vec<usize>,
+        l_start: Vec<usize>,
+        l_entries: Vec<(usize, f64)>,
+        u_start: Vec<usize>,
+        u_entries: Vec<(usize, f64)>,
+        u_diag: Vec<f64>,
+    ) -> Self {
+        let m = row_at.len();
+        let mut row_step = vec![0; m];
+        for (k, &row) in row_at.iter().enumerate() {
+            row_step[row] = k;
+        }
+        let l_nonempty = (0..m).filter(|&k| l_start[k + 1] > l_start[k]).collect();
+        // Transpose `U`: count per row, then fill each row through a cursor
+        // that ends on the next row's offset, then shift the offsets back.
+        let mut u_row_start = vec![0; m + 1];
+        for &(i, _) in &u_entries {
+            u_row_start[i + 1] += 1;
+        }
+        for i in 0..m {
+            u_row_start[i + 1] += u_row_start[i];
+        }
+        let mut u_row_entries = vec![(0, 0.0); u_entries.len()];
+        for k in 0..m {
+            for &(i, u) in &u_entries[u_start[k]..u_start[k + 1]] {
+                u_row_entries[u_row_start[i]] = (k, u);
+                u_row_start[i] += 1;
+            }
+        }
+        u_row_start.copy_within(0..m, 1);
+        u_row_start[0] = 0;
         LuFactors {
             m,
-            row_at: (0..m).collect(),
-            col_at: (0..m).collect(),
-            l_start: vec![0; m + 1],
-            l_entries: Vec::new(),
-            u_start: vec![0; m + 1],
-            u_entries: Vec::new(),
-            u_diag: vec![1.0; m],
+            row_at,
+            col_at,
+            row_step,
+            l_start,
+            l_entries,
+            l_nonempty,
+            u_start,
+            u_entries,
+            u_row_start,
+            u_row_entries,
+            u_diag,
         }
     }
 
@@ -305,6 +386,12 @@ impl LuFactors {
     #[inline]
     fn u_col(&self, k: usize) -> &[(usize, f64)] {
         &self.u_entries[self.u_start[k]..self.u_start[k + 1]]
+    }
+
+    /// Row `i` of `U`, as `(step, value)` pairs.
+    #[inline]
+    fn u_row(&self, i: usize) -> &[(usize, f64)] {
+        &self.u_row_entries[self.u_row_start[i]..self.u_row_start[i + 1]]
     }
 
     /// Total stored nonzeros in `L` and `U` (diagnostics).
@@ -508,19 +595,47 @@ impl LuFactors {
             u_start.push(u_entries.len());
         }
 
-        Ok(LuFactors { m, row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag })
+        Ok(Self::from_columns(row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag))
     }
 
     /// Solves `B x = v` in place (`v` indexed by row on entry, by basis
     /// position on exit). `work` is caller-provided scratch of length `m`.
     pub fn ftran(&self, v: &mut [f64], work: &mut [f64]) {
-        let m = self.m;
-        for k in 0..m {
-            work[k] = v[self.row_at[k]];
+        for (w, &row) in work.iter_mut().zip(&self.row_at) {
+            *w = v[row];
         }
-        // L forward substitution; skipping zero positions makes the cost
-        // proportional to the reachable nonzero set of the rhs.
-        for k in 0..m {
+        self.ftran_steps(work);
+        for (&w, &pos) in work.iter().zip(&self.col_at) {
+            v[pos] = w;
+        }
+    }
+
+    /// Solves `B x = v` for a sparse `v` given as `(row, value)` entries
+    /// (a row listed twice sums), writing `x` by basis position into `out`.
+    /// The entries enter through the row→step map, so nothing is gathered
+    /// over all rows. `work` is caller-provided scratch of length `m`.
+    pub fn ftran_sparse(
+        &self,
+        rhs: impl IntoIterator<Item = (usize, f64)>,
+        out: &mut [f64],
+        work: &mut [f64],
+    ) {
+        work.fill(0.0);
+        for (row, x) in rhs {
+            work[self.row_step[row]] += x;
+        }
+        self.ftran_steps(work);
+        for (&w, &pos) in work.iter().zip(&self.col_at) {
+            out[pos] = w;
+        }
+    }
+
+    /// The `L` and `U` substitutions of FTRAN on a right-hand side in step
+    /// space. The `L` pass visits the nonempty columns only, and the `U`
+    /// pass divides and scatters the nonzero steps only, so the work
+    /// follows the nonzeros the right-hand side reaches.
+    fn ftran_steps(&self, work: &mut [f64]) {
+        for &k in &self.l_nonempty {
             let x = work[k];
             if x != 0.0 {
                 for &(i, l) in self.l_col(k) {
@@ -528,43 +643,49 @@ impl LuFactors {
                 }
             }
         }
-        // U backward substitution.
-        for k in (0..m).rev() {
-            let x = work[k] / self.u_diag[k];
-            work[k] = x;
-            if x != 0.0 {
+        for k in (0..self.m).rev() {
+            if work[k] != 0.0 {
+                let x = work[k] / self.u_diag[k];
+                work[k] = x;
                 for &(i, u) in self.u_col(k) {
                     work[i] -= u * x;
                 }
             }
         }
-        for k in 0..m {
-            v[self.col_at[k]] = work[k];
-        }
     }
 
     /// Solves `Bᵀ y = c` in place (`c` indexed by basis position on entry,
     /// by row on exit). `work` is caller-provided scratch of length `m`.
+    ///
+    /// `Uᵀ` is solved in scatter form over the rows of `U`, skipping zero
+    /// steps. Each `U` column lists its steps in ascending order, so every
+    /// step receives its terms in the order the gather form would subtract
+    /// them, and the sums are the gather's bit for bit (up to the sign of a
+    /// zero). `Lᵀ` keeps its gather form over the nonempty `L` columns: `L`
+    /// columns are not stored in step order, so a scatter would reorder
+    /// their sums.
     pub fn btran(&self, c: &mut [f64], work: &mut [f64]) {
-        let m = self.m;
-        // Uᵀ forward substitution (gather form).
-        for k in 0..m {
-            let mut s = c[self.col_at[k]];
-            for &(i, u) in self.u_col(k) {
-                s -= u * work[i];
-            }
-            work[k] = s / self.u_diag[k];
+        for (w, &pos) in work.iter_mut().zip(&self.col_at) {
+            *w = c[pos];
         }
-        // Lᵀ backward substitution (gather form).
-        for k in (0..m).rev() {
+        for k in 0..self.m {
+            if work[k] != 0.0 {
+                let x = work[k] / self.u_diag[k];
+                work[k] = x;
+                for &(j, u) in self.u_row(k) {
+                    work[j] -= u * x;
+                }
+            }
+        }
+        for &k in self.l_nonempty.iter().rev() {
             let mut s = work[k];
             for &(i, l) in self.l_col(k) {
                 s -= l * work[i];
             }
             work[k] = s;
         }
-        for k in 0..m {
-            c[self.row_at[k]] = work[k];
+        for (&w, &row) in work.iter().zip(&self.row_at) {
+            c[row] = w;
         }
     }
 }
@@ -585,7 +706,9 @@ struct EtaHead {
 /// The updates live in two flat buffers: one head per update, and every
 /// update's other nonzeros back to back. So once they have grown a pivot
 /// allocates nothing: `clear` keeps their capacity, and `clone_from`
-/// copies into them.
+/// copies into them. A push reads the entering column through the index of
+/// its nonzeros that the simplex keeps, so recording a pivot costs the
+/// column's nonzeros, not `m`.
 #[derive(Debug, Default)]
 pub(crate) struct EtaFile {
     heads: Vec<EtaHead>,
@@ -616,15 +739,12 @@ impl EtaFile {
     }
 
     /// Records the basis exchange at position `r`; `aq` is the FTRAN'd
-    /// entering column (so `aq[r]` is the pivot element).
-    pub fn push(&mut self, r: usize, aq: &[f64]) {
+    /// entering column (so `aq[r]` is the pivot element) and `nz` lists its
+    /// nonzero positions in ascending order, so the push reads only those.
+    pub fn push(&mut self, r: usize, aq: &[f64], nz: &[usize]) {
         let start = self.entries.len();
-        self.entries.extend(
-            aq.iter()
-                .enumerate()
-                .filter(|&(i, &v)| i != r && v.abs() >= DROP_TOL)
-                .map(|(i, &v)| (i, v)),
-        );
+        self.entries
+            .extend(nz.iter().filter(|&&i| i != r && aq[i].abs() >= DROP_TOL).map(|&i| (i, aq[i])));
         self.heads.push(EtaHead { r, pivot: aq[r], start, end: self.entries.len() });
     }
 
@@ -694,6 +814,162 @@ mod tests {
         }
     }
 
+    /// The nonzero positions of `v`, ascending.
+    fn nonzeros(v: &[f64]) -> Vec<usize> {
+        (0..v.len()).filter(|&i| v[i] != 0.0).collect()
+    }
+
+    /// [`EtaFile::push`] with the index of `aq`'s nonzeros built here.
+    fn push_dense(etas: &mut EtaFile, r: usize, aq: &[f64]) {
+        etas.push(r, aq, &nonzeros(aq));
+    }
+
+    /// The eta push as it was before the entering column's nonzero index:
+    /// a scan of the dense column. The reference for the indexed push.
+    fn push_reference(etas: &mut EtaFile, r: usize, aq: &[f64]) {
+        let start = etas.entries.len();
+        etas.entries.extend(
+            aq.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && v.abs() >= DROP_TOL)
+                .map(|(i, &v)| (i, v)),
+        );
+        etas.heads.push(EtaHead { r, pivot: aq[r], start, end: etas.entries.len() });
+    }
+
+    /// FTRAN as it was before the solve indexes: a gather of the whole
+    /// right-hand side, an `L` pass over every column and a `U` pass that
+    /// divides every step. The reference the indexed solves must match.
+    fn ftran_reference(lu: &LuFactors, v: &mut [f64], work: &mut [f64]) {
+        let m = lu.m;
+        for k in 0..m {
+            work[k] = v[lu.row_at[k]];
+        }
+        for k in 0..m {
+            let x = work[k];
+            if x != 0.0 {
+                for &(i, l) in lu.l_col(k) {
+                    work[i] -= l * x;
+                }
+            }
+        }
+        for k in (0..m).rev() {
+            let x = work[k] / lu.u_diag[k];
+            work[k] = x;
+            if x != 0.0 {
+                for &(i, u) in lu.u_col(k) {
+                    work[i] -= u * x;
+                }
+            }
+        }
+        for k in 0..m {
+            v[lu.col_at[k]] = work[k];
+        }
+    }
+
+    /// BTRAN as it was before the rows of `U`: `Uᵀ` and `Lᵀ` both in
+    /// gather form over every column.
+    fn btran_reference(lu: &LuFactors, c: &mut [f64], work: &mut [f64]) {
+        let m = lu.m;
+        for k in 0..m {
+            let mut s = c[lu.col_at[k]];
+            for &(i, u) in lu.u_col(k) {
+                s -= u * work[i];
+            }
+            work[k] = s / lu.u_diag[k];
+        }
+        for k in (0..m).rev() {
+            let mut s = work[k];
+            for &(i, l) in lu.l_col(k) {
+                s -= l * work[i];
+            }
+            work[k] = s;
+        }
+        for k in 0..m {
+            c[lu.row_at[k]] = work[k];
+        }
+    }
+
+    /// `Ok` when `a` and `b` are equal under `==` entry by entry (so a
+    /// zero may differ in sign), NaN matching NaN.
+    fn same_values(what: &str, a: &[f64], b: &[f64]) -> std::result::Result<(), String> {
+        match a.iter().zip(b).position(|(x, y)| x != y && !(x.is_nan() && y.is_nan())) {
+            None => Ok(()),
+            Some(i) => Err(format!("{what}: entry {i} reads {} against {}", a[i], b[i])),
+        }
+    }
+
+    /// Runs the indexed solves against the reference bodies on factors
+    /// `lu` with the pending updates `etas` (possibly none), over the form
+    /// `sf` whose rows `lu` spans: FTRAN of a dense right-hand side, of
+    /// columns of `sf` entered as sparse entries, and of BTRAN rows entered
+    /// through their nonzero index; BTRAN of a dense and of unit
+    /// right-hand sides. Also checks the factors' `U` storage order.
+    fn check_solves(
+        lu: &LuFactors,
+        etas: &EtaFile,
+        sf: &StandardForm,
+    ) -> std::result::Result<(), String> {
+        let m = lu.m;
+        for k in 0..m {
+            if !lu.u_col(k).windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("U column {k} is not in ascending step order"));
+            }
+        }
+        let mut work = vec![0.0; m];
+        let dense: Vec<f64> = (0..m)
+            .map(|i| if i % 3 == 0 { 0.0 } else { 1.0 + 0.37 * i as f64 - (i % 5) as f64 })
+            .collect();
+        let (mut new, mut reference) = (dense.clone(), dense.clone());
+        lu.ftran(&mut new, &mut work);
+        etas.apply_ftran(&mut new);
+        ftran_reference(lu, &mut reference, &mut work);
+        etas.apply_ftran(&mut reference);
+        same_values("dense FTRAN", &new, &reference)?;
+
+        for j in (0..sf.n + sf.m).step_by(1 + (sf.n + sf.m) / 12) {
+            let entries: Vec<(usize, f64)> = match sf.column(j) {
+                ColumnRef::Structural(nz) => nz.to_vec(),
+                ColumnRef::Slack(row) => vec![(row, 1.0)],
+            };
+            lu.ftran_sparse(entries.iter().copied(), &mut new, &mut work);
+            etas.apply_ftran(&mut new);
+            reference.fill(0.0);
+            sf.column(j).axpy(1.0, &mut reference);
+            ftran_reference(lu, &mut reference, &mut work);
+            etas.apply_ftran(&mut reference);
+            same_values(&format!("sparse FTRAN of column {j}"), &new, &reference)?;
+        }
+
+        for r in (0..m).step_by(1 + m / 8) {
+            let mut unit = vec![0.0; m];
+            unit[r] = 1.0;
+            let (mut new, mut reference) = (unit.clone(), unit);
+            etas.apply_btran_rhs(&mut new);
+            lu.btran(&mut new, &mut work);
+            etas.apply_btran_rhs(&mut reference);
+            btran_reference(lu, &mut reference, &mut work);
+            same_values(&format!("unit BTRAN of row {r}"), &new, &reference)?;
+            // The BTRAN row as an indexed right-hand side, as the steepest
+            // edge update enters it.
+            let rho = reference;
+            let mut out = vec![0.0; m];
+            lu.ftran_sparse(nonzeros(&rho).iter().map(|&i| (i, rho[i])), &mut out, &mut work);
+            etas.apply_ftran(&mut out);
+            let mut reference = rho.clone();
+            ftran_reference(lu, &mut reference, &mut work);
+            etas.apply_ftran(&mut reference);
+            same_values(&format!("indexed FTRAN of row {r}"), &out, &reference)?;
+        }
+
+        let (mut new, mut reference) = (dense.clone(), dense);
+        etas.apply_btran_rhs(&mut new);
+        lu.btran(&mut new, &mut work);
+        etas.apply_btran_rhs(&mut reference);
+        btran_reference(lu, &mut reference, &mut work);
+        same_values("dense BTRAN", &new, &reference)
+    }
+
     #[test]
     fn identity_factors_are_noops() {
         let lu = LuFactors::identity(4);
@@ -758,7 +1034,7 @@ mod tests {
         lu.ftran(&mut aq, &mut work);
         etas.apply_ftran(&mut aq);
         assert!(aq[1].abs() > 1e-12, "pivot must be nonzero");
-        etas.push(1, &aq);
+        etas.push(1, &aq, &nonzeros(&aq));
         basis[1] = entering;
         assert_eq!(etas.len(), 1);
 
@@ -803,8 +1079,8 @@ mod tests {
         assert_eq!(to.u_diag, lu.u_diag);
 
         let mut etas = EtaFile::default();
-        etas.push(0, &[2.0, 1.0, 0.0, -1.0]);
-        etas.push(3, &[0.5, 0.0, 0.0, 4.0]);
+        push_dense(&mut etas, 0, &[2.0, 1.0, 0.0, -1.0]);
+        push_dense(&mut etas, 3, &[0.5, 0.0, 0.0, 4.0]);
         let mut to = etas.clone();
         let buffers = |e: &EtaFile| (e.heads.as_ptr(), e.entries.as_ptr());
         let before = buffers(&to);
@@ -813,7 +1089,7 @@ mod tests {
         assert_eq!((&to.heads, &to.entries), (&etas.heads, &etas.entries));
         // A shorter source also copies in place.
         let mut one = EtaFile::default();
-        one.push(1, &[0.0, 3.0, 0.0, 0.0]);
+        push_dense(&mut one, 1, &[0.0, 3.0, 0.0, 0.0]);
         to.clone_from(&one);
         assert_eq!(buffers(&to), before);
         assert_eq!(to.len(), 1);
@@ -825,8 +1101,8 @@ mod tests {
     #[test]
     fn cleared_eta_file_pushes_into_its_buffers() {
         let push_two = |etas: &mut EtaFile| {
-            etas.push(0, &[2.0, 1.0, 0.0, -1.0]);
-            etas.push(3, &[0.5, 0.0, 0.0, 4.0]);
+            push_dense(etas, 0, &[2.0, 1.0, 0.0, -1.0]);
+            push_dense(etas, 3, &[0.5, 0.0, 0.0, 4.0]);
         };
         let mut etas = EtaFile::default();
         push_two(&mut etas);
@@ -994,7 +1270,7 @@ mod tests {
         };
         let (l_start, l_entries) = flat(l_cols);
         let (u_start, u_entries) = flat(u_cols);
-        Ok(LuFactors { m, row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag })
+        Ok(LuFactors::from_columns(row_at, col_at, l_start, l_entries, u_start, u_entries, u_diag))
     }
 
     /// `Ok` when both results are errors, or both are factors with the same
@@ -1198,9 +1474,42 @@ mod tests {
             }
         }
 
+        /// On random bases, the indexed FTRAN (dense, sparse and indexed
+        /// right-hand sides) and the scatter BTRAN return the reference
+        /// bodies' values, without and with pending eta updates, and every
+        /// `U` column lists its steps in ascending order.
+        #[test]
+        fn solves_match_the_reference_bodies(seed in any::<u64>(), m in 1usize..=60) {
+            let (sf, basis) = random_basis(seed, m);
+            let Ok(lu) = LuFactors::factorize(&sf, &basis) else { return Ok(()) };
+            let mut etas = EtaFile::default();
+            check_solves(&lu, &etas, &sf).map_err(TestCaseError::fail)?;
+            // Exchange a few positions for other columns of the form, as
+            // pivots do, and check again with those updates pending.
+            let mut work = vec![0.0; m];
+            let mut aq = vec![0.0; m];
+            for t in 0..m.min(6) {
+                let j = (seed as usize).wrapping_add(7 * t) % (sf.n + m);
+                lu.ftran_sparse(match sf.column(j) {
+                    ColumnRef::Structural(nz) => nz.to_vec(),
+                    ColumnRef::Slack(row) => vec![(row, 1.0)],
+                }, &mut aq, &mut work);
+                etas.apply_ftran(&mut aq);
+                let Some(r) = (0..m).rev().find(|&r| aq[r].abs() > 1e-3) else { continue };
+                let mut reference = etas.clone();
+                push_dense(&mut etas, r, &aq);
+                push_reference(&mut reference, r, &aq);
+                prop_assert_eq!(&etas.heads, &reference.heads);
+                prop_assert_eq!(&etas.entries, &reference.entries);
+            }
+            check_solves(&lu, &etas, &sf).map_err(TestCaseError::fail)?;
+        }
+
         /// Every basis the dual simplex passes through, pivot by pivot, on
         /// a small random binary MILP and along a dive that fixes its
-        /// fractional columns, factorizes bit for bit like the full scan.
+        /// fractional columns, factorizes bit for bit like the full scan,
+        /// and the live kernel (with its pending etas) and the fresh
+        /// factors both solve like the reference bodies.
         #[test]
         fn factorize_matches_the_full_scan_on_simplex_iterates(
             milp in crate::testgen::random_binary_milp(),
@@ -1223,11 +1532,15 @@ mod tests {
         let mut checked = 0;
         for _ in 0..10_000 {
             let basis: Vec<usize> = (0..lp.nrows()).map(|r| lp.basis_col(r)).collect();
-            if let Err(msg) = same_factors(
-                &LuFactors::factorize(lp.form(), &basis),
-                &factorize_reference(lp.form(), &basis),
-            ) {
+            let fresh = LuFactors::factorize(lp.form(), &basis);
+            if let Err(msg) = same_factors(&fresh, &factorize_reference(lp.form(), &basis)) {
                 return Err(TestCaseError::fail(format!("basis {basis:?}: {msg}")));
+            }
+            let fresh = fresh.map_err(|e| TestCaseError::fail(format!("iterate: {e}")))?;
+            let (live, etas) = lp.lu_kernel().expect("the default kernel is the sparse LU");
+            for (lu, etas) in [(&fresh, &EtaFile::default()), (live, etas)] {
+                check_solves(lu, etas, lp.form())
+                    .map_err(|msg| TestCaseError::fail(format!("basis {basis:?}: {msg}")))?;
             }
             checked += 1;
             match lp.optimize_capped(1) {

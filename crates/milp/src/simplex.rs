@@ -25,8 +25,28 @@
 //! * [`BasisKernel::Dense`] — explicit dense `m × m` inverse, O(m²) per
 //!   pivot. Kept as the reference implementation and numerical fallback.
 //!
-//! Pricing scatters the (sparse) BTRAN row through [`StandardForm::row`]
-//! instead of dotting every column against a dense ρ.
+//! A pivot's vectors are sparse (on the perfbench `exact` catalog the BTRAN
+//! row ρ holds about 35 nonzeros of some 460 rows, the entering column
+//! `B⁻¹A_q` about 85, and about 36 of some 770 columns are eligible in the
+//! ratio test), so each pivot keeps an index of the nonzeros it touches and
+//! its work follows them instead of `m` and `n + m`:
+//!
+//! * Pricing scatters the (sparse) BTRAN row through [`StandardForm::row`]
+//!   instead of dotting every column against a dense ρ. The scatter lists
+//!   ρ's nonzero rows in ascending order and the columns of the pivot row
+//!   α it touches; the next scatter clears only those. The ratio test and
+//!   the reduced-cost update visit the touched columns only: every other
+//!   entry of α is `+0.0`, never eligible, and leaves `d` as it is.
+//! * The bound-flipping ratio test takes its candidates one at a time in
+//!   ratio order instead of sorting them all; flips are rare, so that is
+//!   usually one pass.
+//! * One scan lists the nonzero rows of the entering column; that list
+//!   drives the basic-value update, the steepest-edge weight update and
+//!   the eta push. ρ's list is the sparse right-hand side of the
+//!   steepest-edge FTRAN `τ = B⁻¹ρ`.
+//!
+//! Every pivot chooses the row and column the dense loops chose, and every
+//! value is theirs up to the sign of a zero, which no comparison sees.
 //!
 //! Ratio test: when the dual min-ratio step would push the entering variable
 //! past its *opposite* bound, the variable is **bound-flipped** in place (no
@@ -43,6 +63,7 @@ use crate::events::{CancelToken, ObserverHandle, SolverEvent};
 use crate::lu::{EtaFile, LuFactors};
 use crate::options::{BasisKernel, Pricing, SolverOptions};
 use crate::standard::{ColumnRef, StandardForm, INFINITE_BOUND};
+use std::cmp::Ordering;
 use std::time::Instant;
 
 /// Primal feasibility tolerance (absolute, plus relative to bound size).
@@ -63,6 +84,48 @@ const REFACTOR_INTERVAL: usize = 128;
 /// refactorization is forced, independently of [`REFACTOR_INTERVAL`].
 /// Longer files make FTRAN/BTRAN slower and drift-prone.
 const ETA_LIMIT: usize = 64;
+/// Bound-flipping ratio test: candidates taken one at a time, each by a
+/// linear minimum scan, before the rest are sorted at once.
+const LAZY_PICKS: usize = 8;
+
+/// The order in which the bound-flipping ratio test takes its candidates
+/// `(ratio, column)`: ratio ascending, ties toward larger `|α_j|` for
+/// stability, then smaller index for determinism. Ratios and `α` are never
+/// NaN and indices differ, so this is a total order.
+fn bfrt_order(alpha: &[f64], (ra, ja): (f64, usize), (rb, jb): (f64, usize)) -> Ordering {
+    ra.partial_cmp(&rb)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| alpha[jb].abs().partial_cmp(&alpha[ja].abs()).unwrap_or(Ordering::Equal))
+        .then_with(|| ja.cmp(&jb))
+}
+
+/// Hands the candidates of `cand` to `flip` in [`bfrt_order`] until it
+/// declines one, and returns that one (the pivot), or `None` when every
+/// candidate flips. The sequence is that of a full sort, since the order is
+/// total, but the first [`LAZY_PICKS`] candidates are each selected by one
+/// linear scan; flips are rare, so the walk is usually a single pass. The
+/// remainder is sorted once, so the worst case stays `O(k log k)`.
+fn bfrt_walk(
+    cand: &mut [(f64, usize)],
+    alpha: &[f64],
+    mut flip: impl FnMut(usize) -> bool,
+) -> Option<(f64, usize)> {
+    for t in 0..cand.len() {
+        if t < LAZY_PICKS {
+            let best = (t..cand.len())
+                .min_by(|&a, &b| bfrt_order(alpha, cand[a], cand[b]))
+                .expect("t < cand.len()");
+            cand.swap(t, best);
+        } else if t == LAZY_PICKS {
+            cand[t..].sort_unstable_by(|&a, &b| bfrt_order(alpha, a, b));
+        }
+        let (ratio, j) = cand[t];
+        if !flip(j) {
+            return Some((ratio, j));
+        }
+    }
+    None
+}
 
 /// Status of a single LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,7 +324,8 @@ impl Kernel {
         }
     }
 
-    /// Computes `out = B⁻¹ A_q` exploiting the sparsity of column `q`.
+    /// Computes `out = B⁻¹ A_q` exploiting the sparsity of column `q`: the
+    /// sparse kernel enters the column's entries through its row→step map.
     fn ftran_col(&self, sf: &StandardForm, q: usize, out: &mut [f64], work: &mut [f64]) {
         match self {
             Kernel::Dense { binv } => {
@@ -283,9 +347,25 @@ impl Kernel {
                 }
             }
             Kernel::Lu { lu, etas, .. } => {
-                out.iter_mut().for_each(|v| *v = 0.0);
-                sf.column(q).axpy(1.0, out);
-                lu.ftran(out, work);
+                match sf.column(q) {
+                    ColumnRef::Structural(nz) => lu.ftran_sparse(nz.iter().copied(), out, work),
+                    ColumnRef::Slack(row) => lu.ftran_sparse([(row, 1.0)], out, work),
+                }
+                etas.apply_ftran(out);
+            }
+        }
+    }
+
+    /// Computes `out = B⁻¹ v` for a row-indexed `v` whose nonzero rows are
+    /// listed in `nz`; the sparse kernel reads `v` through that list only.
+    fn ftran_indexed(&self, v: &[f64], nz: &[usize], out: &mut [f64], work: &mut [f64]) {
+        match self {
+            Kernel::Dense { .. } => {
+                out.copy_from_slice(v);
+                self.ftran(out, work);
+            }
+            Kernel::Lu { lu, etas, .. } => {
+                lu.ftran_sparse(nz.iter().map(|&i| (i, v[i])), out, work);
                 etas.apply_ftran(out);
             }
         }
@@ -314,7 +394,8 @@ impl Kernel {
         }
     }
 
-    /// Extracts `ρ = eᵣᵀ B⁻¹` (row `r` of the inverse) into `out`.
+    /// Extracts `ρ = eᵣᵀ B⁻¹` (row `r` of the inverse) into `out`; the
+    /// sparse kernel's BTRAN skips every zero step of `Uᵀ`.
     fn unit_row(&self, r: usize, out: &mut [f64], work: &mut [f64]) {
         match self {
             Kernel::Dense { binv } => {
@@ -331,9 +412,10 @@ impl Kernel {
     }
 
     /// Records the basis exchange at position `r` with FTRAN'd entering
-    /// column `aq`. Returns `true` when the caller should refactorize now
-    /// (sparse kernel: eta file reached its cap).
-    fn update(&mut self, r: usize, aq: &[f64]) -> bool {
+    /// column `aq`, whose nonzero positions `aq_nz` lists in ascending
+    /// order. Returns `true` when the caller should refactorize now (sparse
+    /// kernel: eta file reached its cap).
+    fn update(&mut self, r: usize, aq: &[f64], aq_nz: &[usize]) -> bool {
         match self {
             Kernel::Dense { binv } => {
                 let m = aq.len();
@@ -354,7 +436,7 @@ impl Kernel {
                 false
             }
             Kernel::Lu { etas, eta_limit, .. } => {
-                etas.push(r, aq);
+                etas.push(r, aq, aq_nz);
                 etas.len() >= *eta_limit
             }
         }
@@ -482,7 +564,19 @@ pub(crate) struct Simplex {
     /// Scratch buffers reused across pivots.
     scratch_rho: Vec<f64>,
     scratch_aq: Vec<f64>,
+    /// The pivot row `α` over all `n + m` columns. Only the columns in
+    /// `alpha_nz` may hold anything but `+0.0`.
     scratch_alpha: Vec<f64>,
+    /// The columns the last scatter into `scratch_alpha` touched, in touch
+    /// order; the next scatter zeroes only these.
+    alpha_nz: Vec<usize>,
+    /// Per column: listed in `alpha_nz`.
+    alpha_mark: Vec<bool>,
+    /// The nonzero rows of `scratch_rho` at the last scatter, ascending.
+    rho_nz: Vec<usize>,
+    /// The nonzero positions of `scratch_aq` in the current pivot,
+    /// ascending.
+    aq_nz: Vec<usize>,
     scratch_work: Vec<f64>,
     scratch_flip: Vec<f64>,
     /// Scratch for the DSE cross-term FTRAN `τ = B⁻¹ρ`.
@@ -567,6 +661,10 @@ impl Simplex {
             scratch_rho: vec![0.0; m],
             scratch_aq: vec![0.0; m],
             scratch_alpha: vec![0.0; ncols],
+            alpha_nz: Vec::new(),
+            alpha_mark: vec![false; ncols],
+            rho_nz: Vec::new(),
+            aq_nz: Vec::new(),
             scratch_work: vec![0.0; m],
             scratch_flip: vec![0.0; m],
             scratch_tau: vec![0.0; m],
@@ -986,20 +1084,7 @@ impl Simplex {
 
             // --- rho = row r of B⁻¹; alpha~_j = σ · rho·A_j. ---
             self.kernel.unit_row(r, &mut self.scratch_rho, &mut self.scratch_work);
-            // Scatter pricing: iterate the nonzeros of rho and push each
-            // through its (sparse) constraint row, instead of dotting every
-            // column against a dense rho.
-            self.scratch_alpha.iter_mut().for_each(|v| *v = 0.0);
-            for (i, &ri) in self.scratch_rho.iter().enumerate() {
-                if ri == 0.0 {
-                    continue;
-                }
-                let s = sigma * ri;
-                for &(j, v) in self.sf.row(i) {
-                    self.scratch_alpha[j] += s * v;
-                }
-                self.scratch_alpha[self.sf.n + i] += s;
-            }
+            self.scatter_pivot_row(sigma);
             let bland = degenerate_run > DEGEN_LIMIT || local_iters > stall_limit;
             let target = if below { self.lb[p] } else { self.ub[p] };
             let mut q = usize::MAX;
@@ -1008,6 +1093,8 @@ impl Simplex {
             if bland {
                 // Bland mode: smallest index among minimal ratios, no
                 // flipping — the configuration with the termination proof.
+                // Its tolerance tie rule depends on the scan order, so it
+                // scans every column in ascending order.
                 for j in 0..self.ncols {
                     if self.stat[j] == Stat::Basic || self.is_fixed(j) {
                         continue;
@@ -1038,8 +1125,10 @@ impl Simplex {
                 // dominates every flipped ratio — pushes each flipped
                 // column's reduced cost across zero, exactly the sign its
                 // new bound status requires, so dual feasibility survives.
+                // Only touched columns can be eligible: the others hold
+                // `+0.0`.
                 cand.clear();
-                for j in 0..self.ncols {
+                for &j in &self.alpha_nz {
                     if self.stat[j] == Stat::Basic || self.is_fixed(j) {
                         continue;
                     }
@@ -1053,32 +1142,21 @@ impl Simplex {
                         cand.push(((self.d[j] / a).max(0.0), j));
                     }
                 }
-                // Ratio ascending; ties toward larger |pivot| for
-                // stability, then smaller index for determinism.
-                cand.sort_unstable_by(|&(ra, ja), &(rb, jb)| {
-                    ra.partial_cmp(&rb)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| {
-                            self.scratch_alpha[jb]
-                                .abs()
-                                .partial_cmp(&self.scratch_alpha[ja].abs())
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .then_with(|| ja.cmp(&jb))
-                });
                 // Remaining violation of row r, positive in the σ frame
                 // (each flip of candidate j retires |alpha_j|·range_j).
                 let mut v = sigma * (self.xb[r] - target);
-                for &(ratio, j) in cand.iter() {
+                let pivot = bfrt_walk(cand, &self.scratch_alpha, |j| {
                     let absorb = self.scratch_alpha[j].abs() * (self.ub[j] - self.lb[j]);
-                    if v > absorb + PTOL {
+                    let flip = v > absorb + PTOL;
+                    if flip {
                         flips.push(j);
                         v -= absorb;
-                    } else {
-                        q = j;
-                        best_ratio = ratio;
-                        break;
                     }
+                    flip
+                });
+                if let Some((ratio, j)) = pivot {
+                    q = j;
+                    best_ratio = ratio;
                 }
             }
             if q == usize::MAX {
@@ -1123,6 +1201,8 @@ impl Simplex {
                 local_iters += 1;
                 continue;
             }
+            self.aq_nz.clear();
+            self.aq_nz.extend((0..m).filter(|&i| self.scratch_aq[i] != 0.0));
 
             // --- Pivot step length (post-flip, so |t| ≤ range of q). ---
             let t = (self.xb[r] - target) / alpha_q_true;
@@ -1136,8 +1216,10 @@ impl Simplex {
             // Reduced costs: d_j ← d_j − θ·alpha~_j; d_p = −σθ; d_q = 0.
             // (Fixed columns keep consistent d for later bound relaxations
             // during branch backtracking; their alpha is already exact.)
+            // θ > 0 here, so an untouched column's `d − θ·(+0.0)` is `d`
+            // bit for bit: only the touched columns are updated.
             if theta != 0.0 {
-                for j in 0..self.ncols {
+                for &j in &self.alpha_nz {
                     if self.stat[j] != Stat::Basic {
                         self.d[j] -= theta * self.scratch_alpha[j];
                     }
@@ -1148,7 +1230,7 @@ impl Simplex {
 
             // Basic values: x_B ← x_B − t·aq, entering takes row r.
             let x_q_new = self.nonbasic_value(q) + t;
-            for i in 0..m {
+            for &i in &self.aq_nz {
                 if i != r {
                     self.xb[i] -= t * self.scratch_aq[i];
                 }
@@ -1160,7 +1242,11 @@ impl Simplex {
             self.update_weights(r, alpha_q_true);
 
             // Kernel update for the exchange at (r, q).
-            let force_refactor = self.kernel.update(r, &self.scratch_aq);
+            debug_assert!(
+                self.aq_nz.iter().copied().eq((0..m).filter(|&i| self.scratch_aq[i] != 0.0)),
+                "the entering-column index must list its nonzeros in ascending order"
+            );
+            let force_refactor = self.kernel.update(r, &self.scratch_aq, &self.aq_nz);
 
             self.basis[r] = q;
             self.stat[q] = Stat::Basic;
@@ -1185,9 +1271,10 @@ impl Simplex {
 
     /// Updates the row pricing weights for the exchange at row `r` with
     /// pivot element `alpha_r`, using the FTRAN'd entering column in
-    /// `scratch_aq` and (for DSE) the BTRAN row in `scratch_rho`. Must run
-    /// *before* the kernel records the exchange: the DSE cross term needs
-    /// `τ = B⁻¹ρ` in the outgoing basis.
+    /// `scratch_aq` (through `aq_nz`) and (for DSE) the BTRAN row in
+    /// `scratch_rho` (through `rho_nz`). Must run *before* the kernel
+    /// records the exchange: the DSE cross term needs `τ = B⁻¹ρ` in the
+    /// outgoing basis.
     fn update_weights(&mut self, r: usize, alpha_r: f64) {
         let inv = 1.0 / alpha_r;
         match self.pricing {
@@ -1196,11 +1283,18 @@ impl Simplex {
                 // Exact Forrest–Goldfarb. The leaving row's true squared
                 // norm is recomputed from the BTRAN row already at hand
                 // (self-correcting against drift); the cross term costs one
-                // extra FTRAN per pivot.
-                let wr = self.scratch_rho.iter().map(|&x| x * x).sum::<f64>().max(WEIGHT_FLOOR);
-                self.scratch_tau.copy_from_slice(&self.scratch_rho);
-                self.kernel.ftran(&mut self.scratch_tau, &mut self.scratch_work);
-                for i in 0..self.m {
+                // extra FTRAN per pivot, with ρ as a sparse right-hand side.
+                // Only rows where `aq` is nonzero change weight.
+                let rho = &self.scratch_rho;
+                let wr =
+                    self.rho_nz.iter().map(|&i| rho[i] * rho[i]).sum::<f64>().max(WEIGHT_FLOOR);
+                self.kernel.ftran_indexed(
+                    &self.scratch_rho,
+                    &self.rho_nz,
+                    &mut self.scratch_tau,
+                    &mut self.scratch_work,
+                );
+                for &i in &self.aq_nz {
                     if i == r {
                         continue;
                     }
@@ -1254,22 +1348,49 @@ impl Simplex {
     }
 
     /// Extracts tableau row `r` — `α = eᵣᵀ B⁻¹ A` over all `n + m` columns —
-    /// into `alpha` (cleared and resized). This is the Gomory read-off path:
-    /// one BTRAN for `ρ = eᵣᵀB⁻¹`, then a scatter of ρ's nonzeros through
-    /// the sparse rows, exactly like pricing does.
+    /// into `alpha` (cleared and refilled). This is the Gomory read-off
+    /// path: one BTRAN for `ρ = eᵣᵀB⁻¹`, then pricing's own scatter of ρ's
+    /// nonzeros through the sparse rows, copied out.
     pub fn tableau_row_into(&mut self, r: usize, alpha: &mut Vec<f64>) {
-        alpha.clear();
-        alpha.resize(self.ncols, 0.0);
         self.kernel.unit_row(r, &mut self.scratch_rho, &mut self.scratch_work);
+        self.scatter_pivot_row(1.0);
+        alpha.clear();
+        alpha.extend_from_slice(&self.scratch_alpha);
+    }
+
+    /// Scatters `σ·ρ` (ρ in `scratch_rho`) through the sparse constraint
+    /// rows into `scratch_alpha`, so `α_j = σ·ρ·A_j`, instead of dotting
+    /// every column against a dense ρ. Zeroes the columns the previous
+    /// scatter touched first, lists ρ's nonzero rows in `rho_nz`
+    /// (ascending) and the columns it touches in `alpha_nz`. ρ is scanned
+    /// in ascending row order, so every `α_j` sums its terms in the order
+    /// a dense clear-and-scatter would.
+    fn scatter_pivot_row(&mut self, sigma: f64) {
+        for &j in &self.alpha_nz {
+            self.scratch_alpha[j] = 0.0;
+            self.alpha_mark[j] = false;
+        }
+        self.alpha_nz.clear();
+        self.rho_nz.clear();
+        let n = self.sf.n;
         for (i, &ri) in self.scratch_rho.iter().enumerate() {
             if ri == 0.0 {
                 continue;
             }
-            for &(j, v) in self.sf.row(i) {
-                alpha[j] += ri * v;
+            self.rho_nz.push(i);
+            let s = sigma * ri;
+            for &(j, v) in self.sf.row(i).iter().chain(&[(n + i, 1.0)]) {
+                if !self.alpha_mark[j] {
+                    self.alpha_mark[j] = true;
+                    self.alpha_nz.push(j);
+                }
+                self.scratch_alpha[j] += s * v;
             }
-            alpha[self.sf.n + i] += ri;
         }
+        debug_assert!(
+            (0..self.ncols).all(|j| self.alpha_mark[j] || self.scratch_alpha[j].to_bits() == 0),
+            "a column outside the pivot-row index holds a value other than +0.0"
+        );
     }
 
     /// Appends `cuts` as new rows of the live LP. Each cut's slack joins the
@@ -1317,11 +1438,22 @@ impl Simplex {
         self.scratch_y.resize(self.m, 0.0);
         self.scratch_bt.resize(self.m, 0.0);
         self.scratch_alpha.resize(self.ncols, 0.0);
+        self.alpha_mark.resize(self.ncols, false);
         self.refactorize()?;
         self.make_dual_feasible();
         self.recompute_xb();
         self.set_exact_weights_from(old_m);
         Ok(())
+    }
+
+    /// The sparse kernel's factors and pending eta updates; `None` under
+    /// the dense kernel.
+    #[cfg(test)]
+    pub(crate) fn lu_kernel(&self) -> Option<(&LuFactors, &EtaFile)> {
+        match &self.kernel {
+            Kernel::Lu { lu, etas, .. } => Some((lu, etas)),
+            Kernel::Dense { .. } => None,
+        }
     }
 
     /// Maximum primal bound violation over basic variables (diagnostics).
@@ -1621,6 +1753,40 @@ mod tests {
             assert_eq!(bits(&s.weights[..old_m]), bits(&snap.weights), "{kernel:?}");
             assert!(s.weights[old_m..].iter().all(|&w| w > 1.0), "{:?}", &s.weights[old_m..]);
             assert_exact_weights(&s);
+        }
+    }
+
+    /// The lazy walk hands out candidates in the order of a full sort by
+    /// [`bfrt_order`] and stops at the same pivot: on lists with tied
+    /// ratios, tied `|α|` and both, longer and shorter than
+    /// [`LAZY_PICKS`], when the first candidate pivots, when every
+    /// candidate but the last flips and when every candidate flips.
+    #[test]
+    fn lazy_bfrt_walk_follows_the_full_sort() {
+        // α by column: |α| ties in pairs, with both signs.
+        let alpha: Vec<f64> = (0..40).map(|j| [2.0, -2.0, 0.5, -0.5, 1.0][j % 5]).collect();
+        let lists: Vec<Vec<(f64, usize)>> = vec![
+            vec![(0.5, 3)],
+            vec![(1.0, 7), (1.0, 2), (1.0, 12), (0.0, 9), (0.0, 4), (0.0, 1)],
+            (0..30).map(|j| (f64::from(j % 4) * 0.25, 39 - j as usize)).collect(),
+            (0..30).map(|j| (0.0, j)).rev().collect(),
+            (0..12).map(|j| (f64::from(j as u8 % 3), (7 * j) % 40)).collect(),
+        ];
+        for list in lists {
+            let mut sorted = list.clone();
+            sorted.sort_unstable_by(|&a, &b| bfrt_order(&alpha, a, b));
+            let k = list.len();
+            for stop in [0, k / 2, k - 1, k] {
+                let mut cand = list.clone();
+                let mut seen = Vec::new();
+                let pivot = bfrt_walk(&mut cand, &alpha, |j| {
+                    seen.push(j);
+                    seen.len() <= stop
+                });
+                let expected: Vec<usize> = sorted.iter().take(stop + 1).map(|c| c.1).collect();
+                assert_eq!(seen, expected, "order of {list:?}, stop {stop}");
+                assert_eq!(pivot, sorted.get(stop).copied(), "pivot of {list:?}, stop {stop}");
+            }
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! The sparse LU kernel must be *observationally identical* to the dense
 //! reference inverse: same solve status and same optimal objective on every
-//! instance, LP or MILP. The proptest blocks below cross-check the two
-//! kernels on 600+ random instances (mirroring the seed's enumeration
-//! cross-check scale), and the deterministic tests pin the bound-flip ratio
-//! test: the entering variable must never overshoot its opposite bound, and
+//! instance, LP or MILP. The checks below cross-check the two kernels on
+//! 600+ random instances (mirroring the seed's enumeration cross-check
+//! scale), and the deterministic tests pin the bound-flip ratio test: the
+//! entering variable must never overshoot its opposite bound, and
 //! box-crossing steps must resolve as flips rather than pivot grinds.
 
 mod common;
@@ -13,13 +13,53 @@ mod common;
 use common::{build_bounded as build, random_bounded as random_instance, RandomLp};
 use ndp_milp::{BasisKernel, LinExpr, Model, Objective, SolveStatus, SolverOptions};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-/// Solves with one kernel, single-threaded for reproducibility.
-fn solve_with_kernel(lp: &RandomLp, kernel: BasisKernel) -> (SolveStatus, f64) {
+/// Solves with one kernel on top of `base`, single-threaded for
+/// reproducibility; returns the status, the objective and the node count.
+fn solve_with_kernel(
+    lp: &RandomLp,
+    base: &SolverOptions,
+    kernel: BasisKernel,
+) -> (SolveStatus, f64, u64) {
     let m = build(lp);
-    let opts = SolverOptions::default().threads(1).basis_kernel(kernel);
+    let opts = base.clone().threads(1).basis_kernel(kernel);
     let sol = m.solve_with(&opts).expect("solve must not error");
-    (sol.status(), if sol.status().has_solution() { sol.objective_value() } else { 0.0 })
+    let obj = if sol.status().has_solution() { sol.objective_value() } else { 0.0 };
+    (sol.status(), obj, sol.node_count())
+}
+
+/// MILPs: branch-and-bound on top of either kernel proves the same optimum
+/// (node paths may differ, answers may not), under the default options and
+/// again with presolve, root cuts and the root dive off. The defaults close
+/// most of these cases at the root; without those accelerators the search
+/// rests on branching, and the check fails unless at least a fifth of its
+/// cases explore three nodes or more under the sparse kernel there.
+#[test]
+fn kernels_agree_on_random_milps() {
+    const CASES: usize = 300;
+    let strategy = random_instance(true);
+    let mut rng = TestRng::for_test("basis_equivalence::kernels_agree_on_random_milps");
+    let bare = SolverOptions::default().presolve(false).cuts(false).heuristics(false);
+    let mut branching = 0;
+    for case in 0..CASES {
+        let lp = strategy.generate(&mut rng);
+        for (is_bare, base) in [(false, &SolverOptions::default()), (true, &bare)] {
+            let (st_dense, obj_dense, _) = solve_with_kernel(&lp, base, BasisKernel::Dense);
+            let (st_lu, obj_lu, nodes) = solve_with_kernel(&lp, base, BasisKernel::SparseLu);
+            assert_eq!(st_dense, st_lu, "case {case} (bare {is_bare}): status mismatch");
+            if st_dense.has_solution() {
+                assert!(
+                    (obj_dense - obj_lu).abs() < 1e-6,
+                    "case {case} (bare {is_bare}): dense {obj_dense} vs sparse {obj_lu}"
+                );
+            }
+            if is_bare {
+                branching += usize::from(nodes >= 3);
+            }
+        }
+    }
+    assert!(5 * branching >= CASES, "only {branching} of {CASES} cases explored three nodes");
 }
 
 proptest! {
@@ -28,21 +68,9 @@ proptest! {
     /// Pure LPs: the two kernels must agree on status and objective.
     #[test]
     fn kernels_agree_on_random_lps(lp in random_instance(false)) {
-        let (st_dense, obj_dense) = solve_with_kernel(&lp, BasisKernel::Dense);
-        let (st_lu, obj_lu) = solve_with_kernel(&lp, BasisKernel::SparseLu);
-        prop_assert_eq!(st_dense, st_lu, "status mismatch");
-        if st_dense.has_solution() {
-            prop_assert!((obj_dense - obj_lu).abs() < 1e-6,
-                "dense {} vs sparse {}", obj_dense, obj_lu);
-        }
-    }
-
-    /// MILPs: branch-and-bound on top of either kernel proves the same
-    /// optimum (node paths may differ, answers may not).
-    #[test]
-    fn kernels_agree_on_random_milps(lp in random_instance(true)) {
-        let (st_dense, obj_dense) = solve_with_kernel(&lp, BasisKernel::Dense);
-        let (st_lu, obj_lu) = solve_with_kernel(&lp, BasisKernel::SparseLu);
+        let base = SolverOptions::default();
+        let (st_dense, obj_dense, _) = solve_with_kernel(&lp, &base, BasisKernel::Dense);
+        let (st_lu, obj_lu, _) = solve_with_kernel(&lp, &base, BasisKernel::SparseLu);
         prop_assert_eq!(st_dense, st_lu, "status mismatch");
         if st_dense.has_solution() {
             prop_assert!((obj_dense - obj_lu).abs() < 1e-6,

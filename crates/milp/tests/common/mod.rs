@@ -88,12 +88,37 @@ pub fn brute_force(milp: &RandomMilp) -> Option<f64> {
 }
 
 /// Proptest strategy over small random all-binary MILPs.
+///
+/// Free right-hand sides make most instances infeasible, and an infeasible
+/// instance closes at the root. So each instance draws a 0/1 point, and
+/// three in four instances set every row's right-hand side from that
+/// point's row activity: plus a random non-negative slack for `≤`, minus
+/// one for `≥`, the activity itself for `=`. The point is then feasible and
+/// the search has something to find. The fourth instance keeps the free
+/// right-hand sides, so infeasibility proofs stay covered.
 pub fn random_milp() -> impl Strategy<Value = RandomMilp> {
     (2usize..=9, any::<bool>()).prop_flat_map(|(n, maximize)| {
         let obj = proptest::collection::vec(-9i32..=9, n);
-        let row = (proptest::collection::vec(-5i32..=5, n), 0u8..=2, -8i32..=12);
+        let row = (proptest::collection::vec(-5i32..=5, n), 0u8..=2, -8i32..=12, 0i32..=4);
         let rows = proptest::collection::vec(row, 1..=5);
-        (obj, rows).prop_map(move |(obj, rows)| RandomMilp { n, obj, maximize, rows })
+        let point = proptest::collection::vec(any::<bool>(), n);
+        (obj, rows, point, 0u8..4).prop_map(move |(obj, rows, point, anchor)| {
+            let rows = rows
+                .into_iter()
+                .map(|(coeffs, sense, free_rhs, slack)| {
+                    let activity: i32 =
+                        coeffs.iter().zip(&point).filter(|&(_, &on)| on).map(|(&c, _)| c).sum();
+                    let rhs = match (anchor, sense) {
+                        (0, _) => free_rhs,
+                        (_, 0) => activity + slack,
+                        (_, 1) => activity - slack,
+                        _ => activity,
+                    };
+                    (coeffs, sense, rhs)
+                })
+                .collect();
+            RandomMilp { n, obj, maximize, rows }
+        })
     })
 }
 

@@ -114,7 +114,7 @@ proptest! {
 /// on plain random instances equals enumeration. Presolve, root cuts and
 /// the root dive are off so the search rests on branching. Most random
 /// instances are still infeasible or integral at the root, so the check
-/// also fails unless at least a tenth of its cases probe (21 of these 128
+/// also fails unless at least a tenth of its cases probe (33 of these 128
 /// do): a check that never probes would pass a broken probe.
 #[test]
 fn reliability_matches_enumeration() {
@@ -150,7 +150,7 @@ fn reliability_matches_enumeration() {
 
 proptest! {
     // Most of these instances close at the root; with the root accelerators
-    // off about a fifth of the solves probe, so this block runs more cases.
+    // off about a quarter of the solves probe, so this block runs more cases.
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// A probe side whose LP optimum meets the incumbent is refuted, so a
