@@ -107,7 +107,6 @@ fn sweep_record(
         portfolio,
         sweep_wall_seconds: Some(sweep_wall),
         branch_rule: None,
-        symmetry: None,
     }
 }
 

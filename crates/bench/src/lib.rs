@@ -214,8 +214,8 @@ pub fn reduce_outcome(
     }
 }
 
-/// A [`DeploymentSession`] configured like an [`OptimalConfig`] — the
-/// bridge the figure binaries use now that `solve_optimal` is deprecated.
+/// A [`DeploymentSession`] configured like an [`OptimalConfig`]: how the
+/// figure binaries reach the exact solver.
 pub fn session_for(problem: &ProblemInstance, config: &OptimalConfig) -> DeploymentSession {
     DeploymentSession::builder(problem.clone())
         .path_mode(config.path_mode)
@@ -423,9 +423,6 @@ pub struct BenchRecord {
     /// (serialized as `null`) for records written before the field existed
     /// or where the rule is not meaningful.
     pub branch_rule: Option<String>,
-    /// Symmetry handling (lex rows + orbital fixing) was enabled *and*
-    /// candidates were supplied. `None` (`null`) when not applicable.
-    pub symmetry: Option<bool>,
 }
 
 /// A finite float as JSON, non-finite as `null` (JSON has no Inf/NaN).
@@ -453,7 +450,7 @@ impl BenchRecord {
                 "\"heuristic_incumbents\":{},\"propagated_bounds\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
                 "\"batch\":{},\"portfolio\":{},\"sweep_wall_seconds\":{},",
-                "\"branch_rule\":{},\"symmetry\":{}}}"
+                "\"branch_rule\":{}}}"
             ),
             self.instance,
             self.kernel,
@@ -483,7 +480,6 @@ impl BenchRecord {
             self.portfolio,
             self.sweep_wall_seconds.map_or_else(|| "null".to_string(), json_f64),
             self.branch_rule.as_ref().map_or_else(|| "null".to_string(), |r| format!("\"{r}\"")),
-            self.symmetry.map_or_else(|| "null".to_string(), |s| s.to_string()),
         )
     }
 }
@@ -644,7 +640,6 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: Some(123.5),
             branch_rule: Some("reliability".into()),
-            symmetry: Some(true),
         };
         let j = r.to_json();
         for needle in [
@@ -673,7 +668,6 @@ mod tests {
             "\"portfolio\":false",
             "\"sweep_wall_seconds\":123.500000",
             "\"branch_rule\":\"reliability\"",
-            "\"symmetry\":true",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
@@ -712,14 +706,12 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: Some(f64::NAN),
             branch_rule: None,
-            symmetry: None,
         };
         let j = r.to_json();
         assert!(j.contains("\"gap\":null"), "{j}");
         assert!(j.contains("\"dual_bound\":null"), "{j}");
         assert!(j.contains("\"sweep_wall_seconds\":null"), "{j}");
         assert!(j.contains("\"branch_rule\":null"), "{j}");
-        assert!(j.contains("\"symmetry\":null"), "{j}");
         assert!(j.contains("\"refactorizations\":null"), "{j}");
         assert!(j.contains("\"factor_seconds\":null"), "{j}");
         assert!(j.contains("\"strong_branch_seconds\":null"), "{j}");
@@ -756,7 +748,6 @@ mod tests {
             portfolio: false,
             sweep_wall_seconds: None,
             branch_rule: None,
-            symmetry: None,
         }
     }
 

@@ -58,36 +58,48 @@ use ndp_milp::{run_batch, CancelToken, IncumbentFeed, SolveStatus, SolverOptions
 /// budgets. The batch cache must be stricter: a time-limited solve under a
 /// 6 s budget is a different (deterministic) outcome than the same model
 /// under 60 s, so every knob that can change the returned incumbent
-/// participates in the member key.
+/// participates in the member key. The destructuring names every field,
+/// so a field added to or removed from [`SolverOptions`] fails to compile
+/// here until the digest decides about it.
 fn trajectory_digest(s: &SolverOptions) -> u64 {
+    let SolverOptions {
+        time_limit,
+        node_limit,
+        threads,
+        cut_node_interval,
+        warm_start,
+        presolve,
+        cuts,
+        heuristics,
+        propagation,
+        branch_rule,
+        node_order,
+        basis_kernel,
+        pricing,
+        // `session.fingerprint()`, the other half of the member key, folds
+        // the answer tolerances.
+        integrality_tol: _,
+        feasibility_tol: _,
+        relative_gap: _,
+        absolute_gap: _,
+        // Not search knobs: the observer only watches, and `solve_exact`
+        // keeps members with a cancel token or a live feed out of the cache.
+        observer: _,
+        cancel: _,
+        incumbent_feed: _,
+    } = s;
     let mut h = Fnv64::with_state(0x9e37_79b9_7f4a_7c15);
-    h.write_f64(s.time_limit);
-    for v in [s.node_limit, s.threads, s.cut_node_interval] {
-        h.write_u64(v as u64);
+    h.write_f64(*time_limit);
+    for v in [node_limit, threads, cut_node_interval] {
+        h.write_u64(*v as u64);
     }
-    let bools = [
-        s.warm_start,
-        s.presolve,
-        s.cuts,
-        s.heuristics,
-        s.propagation,
-        s.symmetry_breaking,
-        s.orbital_fixing,
-    ];
-    for (i, b) in bools.into_iter().enumerate() {
-        h.write_u64((i as u64) << 1 | u64::from(b));
+    for (i, b) in [warm_start, presolve, cuts, heuristics, propagation].into_iter().enumerate() {
+        h.write_u64((i as u64) << 1 | u64::from(*b));
     }
-    h.write_u64(s.symmetry_candidates.len() as u64);
-    for perm in s.symmetry_candidates.iter() {
-        h.write_u64(perm.len() as u64);
-        for &j in perm {
-            h.write_u64(j as u64);
-        }
-    }
-    h.write_str(&format!("{:?}", s.branch_rule));
-    h.write_str(&format!("{:?}", s.node_order));
-    h.write_str(&format!("{:?}", s.basis_kernel));
-    h.write_str(&format!("{:?}", s.pricing));
+    h.write_str(&format!("{branch_rule:?}"));
+    h.write_str(&format!("{node_order:?}"));
+    h.write_str(&format!("{basis_kernel:?}"));
+    h.write_str(&format!("{pricing:?}"));
     h.finish()
 }
 
@@ -620,9 +632,6 @@ mod tests {
             ("cuts", b().cuts(false)),
             ("heuristics", b().heuristics(false)),
             ("propagation", b().propagation(false)),
-            ("symmetry_breaking", b().symmetry_breaking(false)),
-            ("orbital_fixing", b().orbital_fixing(false)),
-            ("symmetry_candidates", b().symmetry_candidates(vec![vec![1, 0]])),
             ("branch_rule", b().branch_rule(BranchRule::MostFractional)),
             ("node_order", b().node_order(NodeOrder::BestBound)),
             ("basis_kernel", b().basis_kernel(BasisKernel::Dense)),

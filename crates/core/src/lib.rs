@@ -17,10 +17,10 @@
 //! heuristic solving, plus *online re-deployment* — absorb
 //! [`ScenarioEvent`]s (core fault, deadline change, aperiodic task
 //! arrival) and re-solve incrementally on carried solver state instead of
-//! from scratch. The free functions `solve_optimal` / `build_milp` remain
-//! as deprecated shims over the same machinery.
+//! from scratch. It is the one exact-solve entry point; callers that need
+//! the MILP itself build it with [`MilpEncoding::build`].
 //!
-//! Every deployment from either route can be checked by the independent
+//! Every deployment, exact or heuristic, can be checked by the independent
 //! constraint referee in [`validate`].
 //!
 //! ```
@@ -70,12 +70,8 @@ pub use baselines::{first_fit_fastest, random_mapping, round_robin};
 pub use batch::{BatchOutcome, BatchSession, SolveCache};
 pub use error::{DeployError, Error, Result};
 pub use fingerprint::{instance_fingerprint, model_fingerprint};
-#[allow(deprecated)]
-pub use formulation::build_milp;
 pub use formulation::{DeployObjective, MilpEncoding, PathMode};
 pub use heuristic::{phase1, phase2, phase3, Phase1, Phase2};
-#[allow(deprecated)]
-pub use optimal::solve_optimal;
 pub use optimal::{OptimalConfig, OptimalOutcome};
 pub use problem::{scheduling_horizon, CommTimeModel, ProblemInstance};
 pub use report::{energy_table, gantt};

@@ -20,9 +20,7 @@
 //!   mutated problem; standing core faults are re-applied and the next
 //!   solve warm-starts from the heuristic on the new problem.
 //!
-//! The session is also the unified front door for one-shot solving — it
-//! subsumes the deprecated free functions `solve_optimal` and
-//! `build_milp`:
+//! The session is also the one front door for one-shot exact solving:
 //!
 //! ```
 //! use ndp_core::prelude::*;
@@ -276,8 +274,7 @@ impl DeploymentSession {
     /// use). The encoding's `model` field is detached — the model lives in
     /// the internal [`ResolveSession`] — but every registry accessor
     /// ([`MilpEncoding::x_var`], [`MilpEncoding::deadline_row`],
-    /// [`MilpEncoding::warm_start_values`], …) works. Replaces the
-    /// deprecated `build_milp` for callers that need variable handles.
+    /// [`MilpEncoding::warm_start_values`], …) works.
     ///
     /// # Errors
     ///
@@ -339,8 +336,7 @@ impl DeploymentSession {
     }
 
     /// Solves the current model with the configured options, capturing
-    /// solver state for the next re-solve. Replaces the deprecated
-    /// `solve_optimal`.
+    /// solver state for the next re-solve.
     ///
     /// # Errors
     ///

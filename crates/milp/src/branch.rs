@@ -181,12 +181,6 @@ pub(crate) struct NodeWorker<'a> {
     pub(crate) propagation_fathoms: u64,
     /// Seconds spent propagating node bounds.
     pub(crate) propagation_seconds: f64,
-    /// Verified symmetry plan for node-level lex (orbital) propagation;
-    /// armed by [`NodeWorker::arm_symmetry`] after construction. `None`
-    /// when no symmetry was verified or orbital fixing is off.
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
-    /// Column fixings applied by lex propagation at this worker's nodes.
-    pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs this worker solved (reliability rule).
     pub(crate) strong_branch_probes: u64,
     /// Probe sides this worker refuted against the incumbent.
@@ -301,20 +295,11 @@ impl<'a> NodeWorker<'a> {
             propagated_bounds: 0,
             propagation_fathoms: 0,
             propagation_seconds: 0.0,
-            symmetry: None,
-            orbital_fixings: 0,
             strong_branch_probes: 0,
             strong_branch_cutoffs: 0,
             strong_branch_seconds: 0.0,
             probe_checkpoint: LpCheckpoint::default(),
         }
-    }
-
-    /// Arms node-level lex (orbital) propagation with a verified symmetry
-    /// plan. Kept out of `new` so the existing construction sites (tests,
-    /// parallel workers) stay untouched when no symmetry is present.
-    pub(crate) fn arm_symmetry(&mut self, plan: Arc<crate::symmetry::SymmetryPlan>) {
-        self.symmetry = Some(plan);
     }
 
     pub(crate) fn time_up(&self) -> bool {
@@ -539,14 +524,6 @@ impl<'a> NodeWorker<'a> {
         self.nodes += 1;
         // The solve moves the basis away from whatever snapshot was loaded.
         self.loaded = None;
-        if self.symmetry.is_some() && self.propagate_symmetry() {
-            // Lex propagation refuted the node: every point of its box is
-            // lex-dominated by a symmetric image, so the representative
-            // optimum lives elsewhere. Same event shape as a propagation
-            // fathom.
-            self.emit_node(node, f64::INFINITY, 0);
-            return Ok((vec![], f64::INFINITY));
-        }
         if self.propagate_on && self.propagate_node() {
             // Propagation emptied the node box: fathom without an LP solve.
             // The node still emits its exploration event (bound +inf, zero
@@ -683,41 +660,6 @@ impl<'a> NodeWorker<'a> {
             });
         }
         fathomed
-    }
-
-    /// Lex (orbital) propagation on the current node box: under the
-    /// "keep the lex-greatest point of every symmetry orbit" rule, a fixed
-    /// prefix position forces fixings on its image columns, and a provably
-    /// violated prefix means every point of the box is lex-dominated by a
-    /// symmetric image — the surviving representative lives in another
-    /// subtree, so the node fathoms. Returns `true` on fathom. Applied
-    /// fixings land in the live LP exactly like propagation fixings and
-    /// feed the branched children through `branch_or_fathom`'s bound reads.
-    fn propagate_symmetry(&mut self) -> bool {
-        let Some(plan) = self.symmetry.clone() else {
-            return false;
-        };
-        let t0 = Instant::now();
-        let n = self.sf.n;
-        let mut plb = std::mem::take(&mut self.prop_lb);
-        let mut pub_ = std::mem::take(&mut self.prop_ub);
-        plb.clear();
-        plb.extend_from_slice(&self.lp.lb[..n]);
-        pub_.clear();
-        pub_.extend_from_slice(&self.lp.ub[..n]);
-        let mut fixed: Vec<(usize, f64)> = Vec::new();
-        let ok = crate::symmetry::propagate_lex(&plan.pairs, &mut plb, &mut pub_, &mut fixed);
-        if ok && !fixed.is_empty() {
-            for &(j, v) in &fixed {
-                self.lp.set_bounds(j, v, v);
-            }
-            self.orbital_fixings += fixed.len() as u64;
-            self.lp.refresh();
-        }
-        self.prop_lb = plb;
-        self.prop_ub = pub_;
-        self.propagation_seconds += t0.elapsed().as_secs_f64();
-        !ok
     }
 
     /// Whether this node is an in-tree separation point: the serial search
@@ -1081,9 +1023,6 @@ pub(crate) struct SearchOutcome {
     pub(crate) propagation_fathoms: u64,
     /// Seconds propagating node bounds, summed over workers.
     pub(crate) propagation_seconds: f64,
-    /// Column fixings applied by lex (orbital) propagation, summed over
-    /// workers.
-    pub(crate) orbital_fixings: u64,
     /// Strong-branching probe LPs solved (reliability rule), summed over
     /// workers.
     pub(crate) strong_branch_probes: u64,
@@ -1241,10 +1180,6 @@ pub(crate) fn solve(model: &Model, options: &SolverOptions) -> Result<Solution> 
                     let red = Arc::new(red);
                     let mut inner = options.clone();
                     inner.presolve = false;
-                    // Symmetry candidates are indexed by the caller's
-                    // columns; presolve re-shapes the model, so they do not
-                    // survive the reduction.
-                    inner.symmetry_candidates = Arc::new(Vec::new());
                     // A feed publishes points in the caller's column space;
                     // route them through the same presolve mapping as warm
                     // starts so the reduced search can consume them.
@@ -1359,43 +1294,6 @@ pub(crate) fn solve_on_form(
             crate::cuts::root_separation(model, &mut sf, options, &int_cols, &root_bounds, start);
     }
 
-    // Verified symmetry: lex-leader rows into the shared form (every search
-    // thread prices them) and a propagation plan armed on every worker.
-    // Disabled whenever a resume capture is requested or the search resumes
-    // from carried state — a session's carried form must stay
-    // representative-free, because a later model delta can re-rank the
-    // orbit representatives and turn the lex rows invalid.
-    let mut symmetry_plan: Option<Arc<crate::symmetry::SymmetryPlan>> = None;
-    let mut symmetry_orbits: u64 = 0;
-    if (options.symmetry_breaking || options.orbital_fixing)
-        && capture.is_none()
-        && !resumed
-        && !options.symmetry_candidates.is_empty()
-        && !int_cols.is_empty()
-    {
-        if let Some(plan) =
-            crate::symmetry::build_plan(model, &options.symmetry_candidates, &root_bounds)
-        {
-            let mut rows = 0usize;
-            if options.symmetry_breaking {
-                for cut in plan.lex_cuts() {
-                    // Installed directly (not through the cut pool): lex rows
-                    // are structural symmetry breakers, not violated cuts —
-                    // the pool's violation filter would drop them all.
-                    sf.add_cut_row(&cut.coeffs, cut.rhs, -INFINITE_BOUND, 0.0);
-                    rows += 1;
-                }
-            }
-            symmetry_orbits = plan.orbits;
-            let (generators, orbits) = (plan.generators, plan.orbits);
-            options.observer.emit(|| SolverEvent::SymmetryDetected { generators, orbits, rows });
-            if options.orbital_fixing {
-                symmetry_plan = Some(Arc::new(plan));
-            }
-        }
-    }
-    let sf = sf;
-
     // Warm start from a user hint.
     let warm = model.warm_start().and_then(|ws| {
         if model.is_feasible(ws, options.integrality_tol.max(options.feasibility_tol)) {
@@ -1448,7 +1346,6 @@ pub(crate) fn solve_on_form(
             root_basis.map(Arc::new),
             root_bound,
             capture,
-            symmetry_plan,
         )?
     } else {
         let out = parallel::search(
@@ -1461,7 +1358,6 @@ pub(crate) fn solve_on_form(
             start,
             threads,
             root_bound,
-            symmetry_plan,
         )?;
         // Parallel workers keep their bases and in-tree cuts private; the
         // session carries the shared root form (with its root cuts) cold.
@@ -1545,8 +1441,6 @@ pub(crate) fn solve_on_form(
             heuristic_incumbents: heur.accepted,
             propagated_bounds: outcome.propagated_bounds,
             propagation_fathoms: outcome.propagation_fathoms,
-            symmetry_orbits,
-            orbital_fixings: outcome.orbital_fixings,
             strong_branch_probes: outcome.strong_branch_probes,
             strong_branch_cutoffs: outcome.strong_branch_cutoffs,
             strong_branch_seconds: outcome.strong_branch_seconds,
@@ -1594,12 +1488,8 @@ fn serial_search(
     root_basis: Option<Arc<BasisSnapshot>>,
     root_bound: f64,
     capture: Option<&mut Option<ResumeState>>,
-    symmetry: Option<Arc<crate::symmetry::SymmetryPlan>>,
 ) -> Result<SearchOutcome> {
     let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, start, true);
-    if let Some(plan) = symmetry {
-        worker.arm_symmetry(plan);
-    }
     let mut incumbent = LocalIncumbent::from_warm(warm);
 
     // A carried basis enters through the root node: `enter_node` restores
@@ -1650,7 +1540,6 @@ fn serial_search(
         propagated_bounds: worker.propagated_bounds,
         propagation_fathoms: worker.propagation_fathoms,
         propagation_seconds: worker.propagation_seconds,
-        orbital_fixings: worker.orbital_fixings,
         strong_branch_probes: worker.strong_branch_probes,
         strong_branch_cutoffs: worker.strong_branch_cutoffs,
         strong_branch_seconds: worker.strong_branch_seconds,

@@ -57,11 +57,6 @@ pub(crate) enum CutFamily {
     Gomory,
     /// Knapsack cover cut.
     Cover,
-    /// Lexicographic symmetry-breaking row for a verified model symmetry
-    /// (see [`crate::symmetry`]). Installed unconditionally at the root —
-    /// symmetry rows are usually *unviolated* at the LP point, so they
-    /// bypass the pool's violation filter.
-    Symmetry,
 }
 
 /// Where a cut is valid. Cover cuts derive from the model rows and global

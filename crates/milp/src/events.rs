@@ -160,18 +160,6 @@ pub enum SolverEvent {
         /// without an LP solve.
         fathomed: bool,
     },
-    /// The solver verified a nontrivial symmetry group of the model from
-    /// the supplied candidate permutations (emitted once, before the tree
-    /// search; timestamp-free like every event so serial streams replay
-    /// bit-for-bit).
-    SymmetryDetected {
-        /// Verified non-identity group elements (after closure).
-        generators: usize,
-        /// Nontrivial integer-column orbits under the group.
-        orbits: u64,
-        /// Lexicographic symmetry-breaking rows installed at the root.
-        rows: usize,
-    },
     /// A new best integral solution was accepted.
     Incumbent {
         /// Objective of the new incumbent (user scale).
@@ -237,9 +225,6 @@ impl fmt::Display for SolverEvent {
                     f,
                     "node {node} propagated: {tightened} bounds tightened, fathomed {fathomed}"
                 )
-            }
-            SolverEvent::SymmetryDetected { generators, orbits, rows } => {
-                write!(f, "symmetry: {generators} generators, {orbits} orbits, {rows} lex rows")
             }
             SolverEvent::Incumbent { objective, bound, gap } => {
                 write!(f, "incumbent: obj {objective:.6} bound {bound:.6} gap {:.3}%", gap * 100.0)
@@ -559,7 +544,5 @@ mod tests {
         assert_eq!(h.to_string(), "heuristic incumbent: obj 4.250000");
         let p = SolverEvent::NodePropagated { node: 3, tightened: 2, fathomed: false };
         assert_eq!(p.to_string(), "node 3 propagated: 2 bounds tightened, fathomed false");
-        let s = SolverEvent::SymmetryDetected { generators: 7, orbits: 3, rows: 7 };
-        assert_eq!(s.to_string(), "symmetry: 7 generators, 3 orbits, 7 lex rows");
     }
 }

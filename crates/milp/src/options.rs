@@ -143,23 +143,6 @@ pub struct SolverOptions {
     /// presolve arithmetic applied at node bounds). Nodes whose box empties
     /// fathom without a simplex solve.
     pub propagation: bool,
-    /// Candidate column permutations of the model (each a full-length map
-    /// `j ↦ σ(j)` over structural columns), typically lifted from mesh
-    /// automorphisms by the encoding layer. Every candidate is verified
-    /// *exactly* against the model at solve time — objective, bounds, kinds,
-    /// priorities and the constraint multiset must all be invariant — so an
-    /// unsound candidate is silently rejected rather than trusted. Empty by
-    /// default (no symmetry handling).
-    pub symmetry_candidates: Arc<Vec<Vec<usize>>>,
-    /// Install lexicographic symmetry-breaking rows at the root for the
-    /// verified symmetry group (requires `symmetry_candidates`). Each row
-    /// keeps the lex-greatest representative of every solution orbit, so at
-    /// least one optimum always survives.
-    pub symmetry_breaking: bool,
-    /// Propagate the lex-leader constraints at every node (orbital fixing):
-    /// once a prefix column is fixed, its images under the group are fixed
-    /// or the node fathoms. Sound with or without the root rows installed.
-    pub orbital_fixing: bool,
     /// Receiver of the structured event stream ([`crate::SolverEvent`]);
     /// unset by default. See [`SolverOptions::observer`].
     pub observer: ObserverHandle,
@@ -193,9 +176,6 @@ impl Default for SolverOptions {
             cut_node_interval: 0,
             heuristics: true,
             propagation: true,
-            symmetry_candidates: Arc::new(Vec::new()),
-            symmetry_breaking: true,
-            orbital_fixing: true,
             observer: ObserverHandle::none(),
             cancel: None,
             incumbent_feed: None,
@@ -331,25 +311,6 @@ impl SolverOptions {
         self
     }
 
-    /// Supplies candidate column permutations for symmetry handling,
-    /// builder-style. See [`SolverOptions::symmetry_candidates`].
-    pub fn symmetry_candidates(mut self, candidates: Vec<Vec<usize>>) -> Self {
-        self.symmetry_candidates = Arc::new(candidates);
-        self
-    }
-
-    /// Enables or disables root lex symmetry-breaking rows, builder-style.
-    pub fn symmetry_breaking(mut self, on: bool) -> Self {
-        self.symmetry_breaking = on;
-        self
-    }
-
-    /// Enables or disables node-level orbital fixing, builder-style.
-    pub fn orbital_fixing(mut self, on: bool) -> Self {
-        self.orbital_fixing = on;
-        self
-    }
-
     /// The concrete worker count after resolving `threads = 0` to the
     /// machine's available parallelism (capped at 8: branch-and-bound trees
     /// on this workspace's models rarely feed more workers than that).
@@ -403,18 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_and_reliability_defaults() {
+    fn reliability_is_the_default_branch_rule() {
         let o = SolverOptions::default();
-        assert!(o.symmetry_candidates.is_empty(), "no candidates unless supplied");
-        assert!(o.symmetry_breaking && o.orbital_fixing, "passes armed once candidates exist");
         assert_eq!(o.branch_rule, BranchRule::Reliability, "the exact arm's rule is the default");
-        let o = o
-            .symmetry_candidates(vec![vec![1, 0]])
-            .symmetry_breaking(false)
-            .orbital_fixing(false)
-            .branch_rule(BranchRule::MostFractional);
-        assert_eq!(o.symmetry_candidates.as_ref(), &vec![vec![1, 0]]);
-        assert!(!o.symmetry_breaking && !o.orbital_fixing);
+        let o = o.branch_rule(BranchRule::MostFractional);
         assert_eq!(o.branch_rule, BranchRule::MostFractional);
     }
 

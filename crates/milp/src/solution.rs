@@ -108,11 +108,6 @@ pub struct SolveStats {
     pub propagated_bounds: u64,
     /// Nodes fathomed by propagation (empty box) without an LP solve.
     pub propagation_fathoms: u64,
-    /// Nontrivial integer-column orbits of the verified symmetry group
-    /// (0 when no candidates were supplied or none verified).
-    pub symmetry_orbits: u64,
-    /// Column fixings applied by node-level lex (orbital) propagation.
-    pub orbital_fixings: u64,
     /// Strong-branching probe LPs solved by reliability branching.
     pub strong_branch_probes: u64,
     /// Probe sides refuted by the incumbent: probe LPs solved to

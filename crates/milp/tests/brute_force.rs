@@ -8,9 +8,10 @@
 
 mod common;
 
-use common::{brute_force, build_binary as build, random_milp};
+use common::{assert_proves, brute_force, build_binary as build, random_milp};
 use ndp_milp::{BranchRule, LinExpr, Model, NodeOrder, Objective, SolveStatus, SolverOptions};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
@@ -60,62 +61,80 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(150))]
+/// The second pass of the parallel checks below: presolve, root cuts and
+/// the root dive off, so the search rests on branching. The defaults close
+/// almost every generated case within two nodes.
+fn bare() -> SolverOptions {
+    SolverOptions::default().presolve(false).cuts(false).heuristics(false)
+}
 
-    /// The thread count may change the node exploration order but never the
-    /// answer: serial (`threads = 1`) and work-stealing (`threads = 4`)
-    /// solves must both match exhaustive enumeration exactly.
-    #[test]
-    fn thread_counts_match_enumeration(milp in random_milp()) {
-        let truth = brute_force(&milp);
-        let (serial_model, _) = build(&milp);
-        let (parallel_model, _) = build(&milp);
-        let serial = serial_model
-            .solve_with(&SolverOptions::default().threads(1))
-            .expect("serial solve must not error");
-        let parallel = parallel_model
-            .solve_with(&SolverOptions::default().threads(4))
-            .expect("parallel solve must not error");
-        match truth {
-            None => {
-                prop_assert_eq!(serial.status(), SolveStatus::Infeasible);
-                prop_assert_eq!(parallel.status(), SolveStatus::Infeasible);
-            }
-            Some(best) => {
-                prop_assert_eq!(serial.status(), SolveStatus::Optimal);
-                prop_assert_eq!(parallel.status(), SolveStatus::Optimal);
-                prop_assert!((serial.objective_value() - best).abs() < 1e-6,
-                    "threads=1 {} vs brute force {}", serial.objective_value(), best);
-                prop_assert!((parallel.objective_value() - best).abs() < 1e-6,
-                    "threads=4 {} vs brute force {}", parallel.objective_value(), best);
-                prop_assert!(parallel_model.is_feasible(parallel.values(), 1e-6));
-            }
-        }
-        // Per-thread node statistics must be consistent with the totals.
-        prop_assert!(serial.nodes_per_thread().len() <= 1);
-        prop_assert!(parallel.nodes_per_thread().len() <= 4);
-        prop_assert_eq!(serial.nodes_per_thread().iter().sum::<u64>(), serial.node_count());
-        prop_assert_eq!(parallel.nodes_per_thread().iter().sum::<u64>(), parallel.node_count());
-    }
-
-    /// Best-bound node order under a worker team: the shared heap must still
-    /// prove the enumerated optimum.
-    #[test]
-    fn parallel_best_bound_matches_enumeration(milp in random_milp()) {
+/// The thread count may change the node exploration order but never the
+/// answer: serial (`threads = 1`) and work-stealing (`threads = 4`) solves
+/// must both match exhaustive enumeration exactly, under the default
+/// options and again under [`bare`]. The check fails unless at least a
+/// tenth of its cases explore three or more nodes in the bare pass (31 of
+/// these 150 do).
+#[test]
+fn thread_counts_match_enumeration() {
+    const CASES: usize = 150;
+    let strategy = random_milp();
+    let mut rng = TestRng::for_test("brute_force::thread_counts_match_enumeration");
+    let mut branching = 0;
+    for case in 0..CASES {
+        let milp = strategy.generate(&mut rng);
         let truth = brute_force(&milp);
         let (m, _) = build(&milp);
-        let opts = SolverOptions::default().node_order(NodeOrder::BestBound).threads(4);
-        let sol = m.solve_with(&opts).expect("solver must not error");
-        match truth {
-            None => prop_assert_eq!(sol.status(), SolveStatus::Infeasible),
-            Some(best) => {
-                prop_assert_eq!(sol.status(), SolveStatus::Optimal);
-                prop_assert!((sol.objective_value() - best).abs() < 1e-6,
-                    "solver {} vs brute force {}", sol.objective_value(), best);
+        for (is_bare, base) in [(false, SolverOptions::default()), (true, bare())] {
+            let at = format!("case {case} (bare {is_bare})");
+            let serial =
+                m.solve_with(&base.clone().threads(1)).expect("serial solve must not error");
+            let parallel = m.solve_with(&base.threads(4)).expect("parallel solve must not error");
+            assert_proves(&serial, truth, &format!("{at}, threads=1"));
+            assert_proves(&parallel, truth, &format!("{at}, threads=4"));
+            if truth.is_some() {
+                assert!(m.is_feasible(parallel.values(), 1e-6), "{at}: infeasible incumbent");
+            }
+            // Per-thread node statistics must be consistent with the totals.
+            assert!(serial.nodes_per_thread().len() <= 1, "{at}");
+            assert!(parallel.nodes_per_thread().len() <= 4, "{at}");
+            assert_eq!(serial.nodes_per_thread().iter().sum::<u64>(), serial.node_count(), "{at}");
+            assert_eq!(
+                parallel.nodes_per_thread().iter().sum::<u64>(),
+                parallel.node_count(),
+                "{at}"
+            );
+            if is_bare {
+                branching += usize::from(parallel.node_count() >= 3);
             }
         }
     }
+    assert!(10 * branching >= CASES, "only {branching} of {CASES} cases explored three nodes");
+}
+
+/// Best-bound node order under a worker team: the shared heap must still
+/// prove the enumerated optimum, under the default options and again under
+/// [`bare`]. The check fails unless at least a tenth of its cases explore
+/// three or more nodes in the bare pass (45 of these 150 do).
+#[test]
+fn parallel_best_bound_matches_enumeration() {
+    const CASES: usize = 150;
+    let strategy = random_milp();
+    let mut rng = TestRng::for_test("brute_force::parallel_best_bound_matches_enumeration");
+    let mut branching = 0;
+    for case in 0..CASES {
+        let milp = strategy.generate(&mut rng);
+        let truth = brute_force(&milp);
+        let (m, _) = build(&milp);
+        for (is_bare, base) in [(false, SolverOptions::default()), (true, bare())] {
+            let opts = base.node_order(NodeOrder::BestBound).threads(4);
+            let sol = m.solve_with(&opts).expect("solver must not error");
+            assert_proves(&sol, truth, &format!("case {case} (bare {is_bare})"));
+            if is_bare {
+                branching += usize::from(sol.node_count() >= 3);
+            }
+        }
+    }
+    assert!(10 * branching >= CASES, "only {branching} of {CASES} cases explored three nodes");
 }
 
 /// `threads = 1` is the documented deterministic mode: repeated solves take

@@ -8,7 +8,9 @@
 //! the per-crate dead-code noise from unused helpers.
 #![allow(dead_code)]
 
-use ndp_milp::{ConstraintSense, LinExpr, Model, Objective, Observer, SolverEvent, VarId};
+use ndp_milp::{
+    ConstraintSense, LinExpr, Model, Objective, Observer, Solution, SolveStatus, SolverEvent, VarId,
+};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -85,6 +87,22 @@ pub fn brute_force(milp: &RandomMilp) -> Option<f64> {
             a.min(b)
         }
     })
+}
+
+/// Asserts that `sol` proves the enumerated optimum `truth` (`None`:
+/// infeasible); `at` names the case in the failure message.
+pub fn assert_proves(sol: &Solution, truth: Option<f64>, at: &str) {
+    match truth {
+        None => assert_eq!(sol.status(), SolveStatus::Infeasible, "{at}"),
+        Some(best) => {
+            assert_eq!(sol.status(), SolveStatus::Optimal, "{at}");
+            assert!(
+                (sol.objective_value() - best).abs() < 1e-6,
+                "{at}: solver {} vs enumeration {best}",
+                sol.objective_value()
+            );
+        }
+    }
 }
 
 /// Proptest strategy over small random all-binary MILPs.

@@ -276,8 +276,8 @@ fn accelerator_events_match_the_solve_counters() {
 }
 
 /// Turning every accelerator on must keep the serial stream bit-for-bit
-/// reproducible — the dive uses a fixed seed and propagation is pure
-/// arithmetic.
+/// reproducible — the dive uses a fixed seed, propagation is pure
+/// arithmetic, and reliability branching's probes are deterministic.
 #[test]
 fn serial_event_stream_is_deterministic_with_all_accelerators() {
     let run = || {
@@ -290,6 +290,9 @@ fn serial_event_stream_is_deterministic_with_all_accelerators() {
             .observer(obs);
         let sol = hard_knapsack(14).solve_with(&opts).unwrap();
         assert_eq!(sol.status(), SolveStatus::Optimal);
+        // The default reliability branching probes here, so the stream
+        // covers strong branching too.
+        assert!(sol.stats().strong_branch_probes > 0, "reliability branching must probe");
         let e = events.lock().unwrap();
         e.iter().map(|ev| format!("{ev:?}")).collect::<Vec<_>>()
     };

@@ -189,44 +189,6 @@ impl Mesh2D {
     pub fn link_index_len(&self) -> usize {
         self.num_nodes() * 4
     }
-
-    /// The automorphism group of the mesh as node-index permutations.
-    ///
-    /// Each returned `perm` maps node `k` to node `perm[k]` while preserving
-    /// mesh adjacency (and with it every hop distance): the dihedral group
-    /// D4 — four rotations and four reflections, 8 elements — for square
-    /// meshes, and the Klein four-group (identity, horizontal flip,
-    /// vertical flip, 180° rotation) for rectangular ones. The identity is
-    /// always first and the order is deterministic, so downstream symmetry
-    /// machinery sees a stable generator list.
-    pub fn automorphisms(&self) -> Vec<Vec<usize>> {
-        let (c, r) = (self.cols, self.rows);
-        // Coordinate maps (x, y) ↦ (x', y'); the first four exist on any
-        // cols×rows mesh, the axis-swapping four only when cols == rows.
-        type CoordMap = fn(usize, usize, usize, usize) -> (usize, usize);
-        let mut maps: Vec<CoordMap> = vec![
-            |x, y, _c, _r| (x, y),
-            |x, y, c, _r| (c - 1 - x, y),
-            |x, y, _c, r| (x, r - 1 - y),
-            |x, y, c, r| (c - 1 - x, r - 1 - y),
-        ];
-        if c == r {
-            maps.push(|x, y, _c, _r| (y, x));
-            maps.push(|x, y, _c, r| (y, r - 1 - x));
-            maps.push(|x, y, c, _r| (c - 1 - y, x));
-            maps.push(|x, y, c, r| (c - 1 - y, r - 1 - x));
-        }
-        maps.iter()
-            .map(|f| {
-                (0..self.num_nodes())
-                    .map(|k| {
-                        let (x, y) = f(k % c, k / c, c, r);
-                        y * c + x
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -320,46 +282,6 @@ mod tests {
     fn link_index_panics_for_non_adjacent() {
         let m = Mesh2D::square(4).unwrap();
         let _ = m.link_index(NodeId(0), NodeId(5));
-    }
-
-    #[test]
-    fn automorphism_group_sizes() {
-        assert_eq!(Mesh2D::square(3).unwrap().automorphisms().len(), 8);
-        assert_eq!(Mesh2D::new(4, 2).unwrap().automorphisms().len(), 4);
-        assert_eq!(Mesh2D::new(1, 1).unwrap().automorphisms().len(), 8);
-    }
-
-    #[test]
-    fn automorphisms_are_distance_preserving_bijections() {
-        for m in [Mesh2D::square(3).unwrap(), Mesh2D::new(4, 2).unwrap()] {
-            let perms = m.automorphisms();
-            assert_eq!(perms[0], (0..m.num_nodes()).collect::<Vec<_>>(), "identity first");
-            for p in &perms {
-                let mut seen = vec![false; m.num_nodes()];
-                for &img in p {
-                    assert!(!seen[img], "permutation must be a bijection");
-                    seen[img] = true;
-                }
-                for a in m.nodes() {
-                    for b in m.nodes() {
-                        assert_eq!(
-                            m.manhattan_distance(a, b),
-                            m.manhattan_distance(NodeId(p[a.0]), NodeId(p[b.0])),
-                            "automorphism must preserve hop distance"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn square_automorphisms_distinct() {
-        let perms = Mesh2D::square(4).unwrap().automorphisms();
-        let mut set = std::collections::HashSet::new();
-        for p in &perms {
-            assert!(set.insert(p.clone()), "D4 elements must be pairwise distinct");
-        }
     }
 
     #[test]

@@ -47,16 +47,6 @@ fn exact(p: &ProblemInstance, cfg: OptimalConfig) -> OptimalOutcome {
         .expect("exact solve must not error")
 }
 
-/// One-shot exact solve through the *historical presolved pipeline*, which
-/// the deprecated shim preserves (sessions trade presolve for incremental
-/// re-solvability). The node-count ablation contracts below were pinned on
-/// that pipeline — and routing them through the shim keeps the deprecated
-/// wrapper itself under test for as long as it exists.
-#[allow(deprecated)]
-fn exact_presolved(p: &ProblemInstance, cfg: OptimalConfig) -> OptimalOutcome {
-    ndp_core::solve_optimal(p, &cfg).expect("exact solve must not error")
-}
-
 #[test]
 fn referee_accepts_heuristic_on_the_fixed_instance() {
     let p = fixed_instance();
@@ -147,7 +137,7 @@ fn cuts_preserve_the_optimum_and_do_not_grow_the_tree() {
             solver: SolverOptions::default().threads(1).time_limit(30.0).cuts(cuts),
             ..OptimalConfig::default()
         };
-        exact_presolved(&p, cfg)
+        exact(&p, cfg)
     };
     let off = solve(false);
     let on = solve(true);
@@ -192,7 +182,7 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
                 .propagation(propagation),
             ..OptimalConfig::default()
         };
-        exact_presolved(&p, cfg)
+        exact(&p, cfg)
     };
 
     let all_on = solve(true, true);
