@@ -56,8 +56,9 @@
 //! termination) to stderr while the table prints to stdout.
 
 use ndp_bench::{
-    append_bench_json, branch_rule_name, node_order_name, parse_branch_rule, parse_node_order,
-    parse_pricing, pricing_name, trace_observer, write_bench_json, BenchRecord, InstanceSpec,
+    append_bench_json, branch_rule_name, kernel_name, node_order_name, parse_branch_rule,
+    parse_node_order, parse_pricing, pricing_name, trace_observer, write_bench_json, BenchRecord,
+    InstanceSpec,
 };
 use ndp_core::{DeployObjective, MilpEncoding, PathMode};
 use ndp_milp::{BasisKernel, BranchRule, NodeOrder, Pricing, SolverOptions};
@@ -75,6 +76,8 @@ impl Accel {
 }
 
 struct KernelRun {
+    /// The options the solve ran under.
+    options: SolverOptions,
     status: String,
     nodes: u64,
     iters: u64,
@@ -133,6 +136,7 @@ fn run(
     let t0 = std::time::Instant::now();
     let sol = enc.model.solve_with(&opts).unwrap();
     KernelRun {
+        options: opts,
         status: format!("{:?}", sol.status()),
         nodes: sol.node_count(),
         iters: sol.simplex_iterations(),
@@ -153,36 +157,8 @@ fn run(
     }
 }
 
-fn kernel_name(k: BasisKernel) -> &'static str {
-    match k {
-        BasisKernel::Dense => "dense",
-        BasisKernel::SparseLu => "sparse-lu",
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record(
-    r: &KernelRun,
-    k: BasisKernel,
-    p: Pricing,
-    order: NodeOrder,
-    warm: bool,
-    cuts: bool,
-    accel: Accel,
-    branch: BranchRule,
-    tasks: usize,
-    s: u64,
-) -> BenchRecord {
+fn record(r: &KernelRun, tasks: usize, s: u64) -> BenchRecord {
     BenchRecord {
-        instance: format!("M{tasks}-N4-seed{s}"),
-        kernel: kernel_name(k).into(),
-        pricing: pricing_name(p).into(),
-        node_order: node_order_name(order).into(),
-        warm_start: warm,
-        cuts,
-        heuristics: accel.heuristics,
-        propagation: accel.propagation,
-        threads: 1,
         status: r.status.clone(),
         nodes: r.nodes,
         pivots: r.iters,
@@ -197,11 +173,7 @@ fn record(
         gap: r.gap,
         dual_bound: r.dual_bound,
         seconds: r.seconds,
-        speedup: None,
-        batch: false,
-        portfolio: false,
-        sweep_wall_seconds: None,
-        branch_rule: Some(branch_rule_name(branch).into()),
+        ..BenchRecord::configured(format!("M{tasks}-N4-seed{s}"), &r.options)
     }
 }
 
@@ -292,9 +264,7 @@ fn ablation(
                         }
                     }
                 }
-                records.push(record(
-                    &r, kernel, pricing, order, warm, cuts, accel, branch, tasks, seed,
-                ));
+                records.push(record(&r, tasks, seed));
             }
             if pivots[0] > pivots[1] {
                 eprintln!(
@@ -341,8 +311,8 @@ fn cuts_ablation(
     let off = run(kernel, pricing, order, true, false, accel, branch, tasks, seconds, seed, trace);
     print_row("sparse-lu/dse/cuts-on", tasks, seed, &on);
     print_row("sparse-lu/dse/cuts-off", tasks, seed, &off);
-    records.push(record(&on, kernel, pricing, order, true, true, accel, branch, tasks, seed));
-    records.push(record(&off, kernel, pricing, order, true, false, accel, branch, tasks, seed));
+    records.push(record(&on, tasks, seed));
+    records.push(record(&off, tasks, seed));
     println!("  cuts applied (on-run): {}", on.cuts_applied);
     if on.status != "Optimal" || off.status != "Optimal" {
         eprintln!(
@@ -407,7 +377,7 @@ fn heuristics_ablation(
     for (name, accel) in arms {
         let r = run(kernel, pricing, order, true, true, accel, branch, tasks, seconds, seed, trace);
         print_row(name, tasks, seed, &r);
-        records.push(record(&r, kernel, pricing, order, true, true, accel, branch, tasks, seed));
+        records.push(record(&r, tasks, seed));
         runs.push((name, r));
     }
     let all_on = &runs[0].1;
@@ -515,7 +485,7 @@ fn branch_rule_ablation(
         [(BranchRule::MostFractional, &most_frac), (BranchRule::Reliability, &reliability)]
     {
         print_row(branch_rule_name(branch), tasks, seed, r);
-        records.push(record(r, kernel, pricing, order, true, true, accel, branch, tasks, seed));
+        records.push(record(r, tasks, seed));
     }
     println!("  reliability work: {} strong-branch probe(s)", reliability.strong_branch_probes);
 
@@ -694,13 +664,9 @@ fn main() {
                 s,
                 trace,
             );
-            for (name, kernel, r) in [
-                ("dense", BasisKernel::Dense, &dense),
-                ("sparse-lu", BasisKernel::SparseLu, &sparse),
-            ] {
+            for (name, r) in [("dense", &dense), ("sparse-lu", &sparse)] {
                 print_row(name, tasks, s, r);
-                records
-                    .push(record(r, kernel, pricing, order, warm, cuts, accel, branch, tasks, s));
+                records.push(record(r, tasks, s));
             }
             let dense_tp = dense.nodes as f64 / dense.seconds.max(1e-9);
             let sparse_tp = sparse.nodes as f64 / sparse.seconds.max(1e-9);

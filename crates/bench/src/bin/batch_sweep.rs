@@ -32,21 +32,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ndp_bench::figs::{self, ExperimentContext};
-use ndp_bench::{
-    append_bench_json, exact_solver_options, node_order_name, pricing_name, BenchRecord,
-};
+use ndp_bench::{append_bench_json, exact_solver_options, BenchRecord};
 use ndp_core::{BatchSession, DeployObjective, OptimalConfig, ProblemInstance};
-use ndp_milp::{BasisKernel, BranchRule, SolverOptions};
+use ndp_milp::{BranchRule, SolverOptions};
 use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
 use ndp_platform::Platform;
 use ndp_taskset::{generate, GeneratorConfig, GraphShape};
-
-fn kernel_name(k: BasisKernel) -> &'static str {
-    match k {
-        BasisKernel::Dense => "dense",
-        BasisKernel::SparseLu => "sparse-lu",
-    }
-}
 
 /// Parses a `--baseline-file`: lines of `NAME MILLIS ms rc=CODE`
 /// (the format written by a timed serial run of the figure binaries).
@@ -67,46 +58,25 @@ fn parse_baseline(path: &str) -> Result<std::collections::HashMap<String, f64>, 
     Ok(map)
 }
 
-/// A sweep-level trajectory record: solver-configuration columns reflect
-/// the figure defaults; work counters are not aggregated across members
+/// A sweep-level trajectory record: solver-configuration columns come from
+/// the members' `options`; work counters are not aggregated across members
 /// (the per-solve records of the other binaries carry those).
 fn sweep_record(
     instance: &str,
+    options: &SolverOptions,
     portfolio: bool,
     seconds: f64,
     sweep_wall: f64,
     speedup: Option<f64>,
 ) -> BenchRecord {
-    let o = exact_solver_options();
     BenchRecord {
-        instance: instance.into(),
-        kernel: kernel_name(o.basis_kernel).into(),
-        pricing: pricing_name(o.pricing).into(),
-        node_order: node_order_name(o.node_order).into(),
-        warm_start: o.warm_start,
-        cuts: o.cuts,
-        heuristics: o.heuristics,
-        propagation: o.propagation,
-        threads: o.threads,
         status: "Sweep".into(),
-        nodes: 0,
-        pivots: 0,
-        refactorizations: None,
-        factor_seconds: None,
-        strong_branch_seconds: None,
-        warm_starts: 0,
-        cold_starts: 0,
-        cuts_applied: 0,
-        heuristic_incumbents: 0,
-        propagated_bounds: 0,
-        gap: f64::NAN,
-        dual_bound: f64::NAN,
         seconds,
         speedup,
         batch: true,
         portfolio,
         sweep_wall_seconds: Some(sweep_wall),
-        branch_rule: None,
+        ..BenchRecord::configured(instance, options)
     }
 }
 
@@ -175,6 +145,7 @@ fn full_sweep(
             .map(|(name, portfolio, secs, _, _)| {
                 sweep_record(
                     &format!("batch-{name}"),
+                    &exact_solver_options(),
                     *portfolio,
                     *secs,
                     total,
@@ -182,7 +153,14 @@ fn full_sweep(
                 )
             })
             .collect();
-        records.push(sweep_record("batch-fig2-sweep", false, total, total, total_speedup));
+        records.push(sweep_record(
+            "batch-fig2-sweep",
+            &exact_solver_options(),
+            false,
+            total,
+            total,
+            total_speedup,
+        ));
         if let Err(e) = append_bench_json(path, &records) {
             eprintln!("batch_sweep: cannot append to {path}: {e}");
             return 1;
@@ -192,19 +170,23 @@ fn full_sweep(
     0
 }
 
+/// The smoke family's solver: the figure harness's most-fractional search
+/// with root cuts, under a budget every member proves within.
+fn smoke_options() -> SolverOptions {
+    SolverOptions::default()
+        .time_limit(20.0)
+        .threads(1)
+        .branch_rule(BranchRule::MostFractional)
+        .cuts(true)
+}
+
 /// A small always-provable member family for the smoke gate: chain
 /// graphs stay easy for the branch and bound, so every solve proves
 /// within the budget and the serial-vs-batch comparison is
 /// deterministic. One member per (seed, objective), plus a duplicate BE
 /// member per seed so the gate also exercises the memo cache.
 fn smoke_family() -> Vec<(Arc<ProblemInstance>, OptimalConfig)> {
-    let quick = || OptimalConfig {
-        solver: SolverOptions::default()
-            .time_limit(20.0)
-            .threads(1)
-            .branch_rule(BranchRule::MostFractional),
-        ..OptimalConfig::default()
-    };
+    let quick = || OptimalConfig { solver: smoke_options(), ..OptimalConfig::default() };
     let mut members = Vec::new();
     for seed in 0..3u64 {
         let mut cfg = GeneratorConfig::typical(3);
@@ -304,9 +286,17 @@ fn batch_smoke(append: Option<&str>) -> i32 {
     }
     if let Some(path) = append {
         let records = [
-            sweep_record("batch-smoke-serial", false, serial_wall, serial_wall, None),
+            sweep_record(
+                "batch-smoke-serial",
+                &smoke_options(),
+                false,
+                serial_wall,
+                serial_wall,
+                None,
+            ),
             sweep_record(
                 "batch-smoke-batch",
+                &smoke_options(),
                 false,
                 batch_wall,
                 batch_wall,

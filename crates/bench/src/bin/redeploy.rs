@@ -4,11 +4,11 @@
 //! events — a core fault, a deadline tightening and an aperiodic task
 //! arrival — and measures, per event, the *incremental* re-solve (apply
 //! the event to the live session, re-enter branch-and-bound warm on the
-//! carried cuts/basis/incumbent) against the *from-scratch* baseline (a
+//! carried form/basis/incumbent) against the *from-scratch* baseline (a
 //! fresh session on the mutated problem, cold model build + cold search).
-//! Both arms run the same solver configuration, so proven answers must
-//! coincide; the speedup column is the from-scratch / incremental
-//! wall-clock ratio.
+//! Both arms run the product's solver (`SolverOptions::default()`, serial),
+//! so proven answers must coincide; the speedup column is the
+//! from-scratch / incremental wall-clock ratio.
 //!
 //! ```text
 //! redeploy [--tasks M] [--mesh N] [--alpha A] [--seeds K]
@@ -29,7 +29,7 @@ use ndp_bench::{append_bench_json, BenchRecord, InstanceSpec};
 use ndp_core::{
     DeploymentSession, EventDisposition, OptimalConfig, OptimalOutcome, PathMode, ScenarioEvent,
 };
-use ndp_milp::{BranchRule, SolveStatus, SolverOptions};
+use ndp_milp::{SolveStatus, SolverOptions};
 use ndp_platform::ProcessorId;
 use ndp_taskset::{Task, TaskId};
 use std::time::Instant;
@@ -108,9 +108,10 @@ fn scenario(session: &DeploymentSession) -> Vec<(&'static str, ScenarioEvent)> {
     ]
 }
 
+/// The product's solver (reliability branching, no root cuts) under the
+/// event budget.
 fn config(budget: f64) -> OptimalConfig {
-    let mut solver =
-        SolverOptions::default().time_limit(budget).branch_rule(BranchRule::MostFractional);
+    let mut solver = SolverOptions::default().time_limit(budget);
     // Serial + tight gap: both arms must land on the same proven optimum,
     // so the comparison is answer-for-answer, not just wall-clock.
     solver.threads = 1;
@@ -172,18 +173,9 @@ fn run_seed(tasks: usize, mesh: usize, alpha: f64, seed: u64, budget: f64) -> Ve
     rows
 }
 
-fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
+fn record(tasks: usize, mesh: usize, options: &SolverOptions, row: &Row) -> BenchRecord {
     let out = &row.incremental.outcome;
     BenchRecord {
-        instance: format!("redeploy-M{tasks}-N{}-seed{}-{}", mesh * mesh, row.seed, row.label),
-        kernel: "sparse-lu".into(),
-        pricing: "dse".into(),
-        node_order: "best-bound".into(),
-        warm_start: true,
-        cuts: true,
-        heuristics: true,
-        propagation: true,
-        threads: 1,
         status: format!("{:?}", out.status),
         nodes: out.nodes,
         pivots: out.stats.simplex_iterations,
@@ -202,10 +194,10 @@ fn record(tasks: usize, mesh: usize, row: &Row) -> BenchRecord {
         dual_bound: out.best_bound_mj,
         seconds: row.incremental.seconds,
         speedup: Some(row.speedup()),
-        batch: false,
-        portfolio: false,
-        sweep_wall_seconds: None,
-        branch_rule: None,
+        ..BenchRecord::configured(
+            format!("redeploy-M{tasks}-N{}-seed{}-{}", mesh * mesh, row.seed, row.label),
+            options,
+        )
     }
 }
 
@@ -369,7 +361,9 @@ fn main() {
     }
 
     if let Some(path) = &json {
-        let records: Vec<BenchRecord> = rows.iter().map(|r| record(tasks, mesh, r)).collect();
+        let options = config(budget).solver;
+        let records: Vec<BenchRecord> =
+            rows.iter().map(|r| record(tasks, mesh, &options, r)).collect();
         append_bench_json(path, &records).expect("append --append-json output");
         println!("appended {} record(s) to {path}", records.len());
     }

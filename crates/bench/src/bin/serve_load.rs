@@ -21,8 +21,12 @@
 //! tracked alongside the solver ablations.
 
 use ndp_bench::{append_bench_json, BenchRecord};
+use ndp_core::OptimalConfig;
 use ndp_serve::{JobOutcome, JobStatus, RequestSpec, ServerConfig, SolveServer};
 use std::time::Instant;
+
+/// Solver threads of every job.
+const JOB_THREADS: usize = 2;
 
 fn spec(tasks: usize, seed: u64, deadline_ms: Option<u64>) -> RequestSpec {
     RequestSpec {
@@ -30,45 +34,25 @@ fn spec(tasks: usize, seed: u64, deadline_ms: Option<u64>) -> RequestSpec {
         mesh_side: 2,
         levels: 3,
         seed,
-        threads: 2,
+        threads: JOB_THREADS,
         deadline_ms,
         ..RequestSpec::default()
     }
 }
 
-/// A server-phase record in the solver-trajectory layout: solver-ablation
-/// columns hold the solver defaults, `nodes`/`seconds` hold the phase
-/// aggregate.
-fn record(instance: &str, status: &str, nodes: u64, seconds: f64, threads: usize) -> BenchRecord {
+/// A server-phase record in the solver-trajectory layout: the
+/// configuration columns hold the solver every job runs (the server's
+/// default configuration at [`JOB_THREADS`] threads; the cache pair runs
+/// on one runner, the load burst's runner count is in its instance label),
+/// `nodes`/`seconds` hold the phase aggregate.
+fn record(instance: &str, status: &str, nodes: u64, seconds: f64) -> BenchRecord {
     BenchRecord {
-        instance: instance.into(),
-        kernel: "sparse-lu".into(),
-        pricing: "dse".into(),
-        node_order: "best-bound".into(),
-        warm_start: true,
-        cuts: true,
-        heuristics: true,
-        propagation: true,
-        threads,
         status: status.into(),
         nodes,
-        pivots: 0,
-        refactorizations: None,
-        factor_seconds: None,
-        strong_branch_seconds: None,
-        warm_starts: 0,
-        cold_starts: 0,
-        cuts_applied: 0,
-        heuristic_incumbents: 0,
-        propagated_bounds: 0,
         gap: 0.0,
         dual_bound: f64::INFINITY,
         seconds,
-        speedup: None,
-        batch: false,
-        portfolio: false,
-        sweep_wall_seconds: None,
-        branch_rule: None,
+        ..BenchRecord::configured(instance, &OptimalConfig::default().solver.threads(JOB_THREADS))
     }
 }
 
@@ -131,7 +115,7 @@ fn main() {
         "  cache pair ok: {} -> 0 nodes, hits={} misses={}",
         a.nodes, stats.cache_hits, stats.cache_misses
     );
-    records.push(record("serve-cache-pair", "Optimal", a.nodes, pair_seconds, 1));
+    records.push(record("serve-cache-pair", "Optimal", a.nodes, pair_seconds));
 
     // Phase 2: mixed burst over the shared pool — sizes, seeds, one
     // mid-flight cancel, one tight deadline.
@@ -175,7 +159,6 @@ fn main() {
         "Optimal",
         total_nodes,
         burst_seconds,
-        runners,
     ));
 
     if let Some(path) = json {

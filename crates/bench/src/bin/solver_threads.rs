@@ -129,18 +129,6 @@ fn main() {
                 spread = format!("{:?}", out.nodes_per_thread);
             }
             records.push(BenchRecord {
-                instance: format!("M5-N4-seed{seed}"),
-                kernel: "sparse-lu".into(),
-                pricing: pricing_name(pricing).into(),
-                node_order: "dfs".into(),
-                warm_start: warm,
-                cuts,
-                // Accelerators stay at the solver defaults (all on) here;
-                // `basis_kernel --heuristics-ablation` is the binary that
-                // varies them.
-                heuristics: true,
-                propagation: true,
-                threads,
                 status: format!("{:?}", out.status),
                 nodes: out.nodes,
                 pivots: out.stats.simplex_iterations,
@@ -160,11 +148,7 @@ fn main() {
                 },
                 dual_bound: out.best_bound_mj,
                 seconds: out.solve_seconds,
-                speedup: None,
-                batch: false,
-                portfolio: false,
-                sweep_wall_seconds: None,
-                branch_rule: None,
+                ..BenchRecord::configured(format!("M5-N4-seed{seed}"), &cfg.solver)
             });
         }
         let throughput = nodes as f64 / total_seconds;

@@ -29,7 +29,8 @@ use ndp_core::{
     ProblemInstance,
 };
 use ndp_milp::{
-    BranchRule, NodeOrder, Observer, Pricing, SolveStats, SolveStatus, SolverEvent, SolverOptions,
+    BasisKernel, BranchRule, NodeOrder, Observer, Pricing, SolveStats, SolveStatus, SolverEvent,
+    SolverOptions,
 };
 use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
 use ndp_platform::{Platform, PowerModel, PowerParams, ReliabilityParams, VfTable};
@@ -139,12 +140,12 @@ pub fn trace_observer() -> Arc<dyn Observer> {
 
 /// Default per-solve budget for the exact arm.
 ///
-/// The figure harness and the CI gates (`fig2*`, `batch_sweep`,
-/// `redeploy`, `solver_threads`) branch most-fractional, not on the
-/// library default: their figures and gates keep their recorded history
-/// until the figures are regenerated on the product's solver.
+/// The figure harness (`fig2*`, `batch_sweep`) branches most-fractional
+/// with root cuts on, not on the library default: its figures keep their
+/// recorded history until they are regenerated on the product's solver.
 pub fn exact_solver_options() -> SolverOptions {
-    let mut o = SolverOptions::default().time_limit(6.0).branch_rule(BranchRule::MostFractional);
+    let mut o =
+        SolverOptions::default().time_limit(6.0).branch_rule(BranchRule::MostFractional).cuts(true);
     o.relative_gap = 1e-4;
     // The figure harness already fans out across seeds (`per_seed`); keep
     // each individual solve serial so a sweep doesn't oversubscribe the
@@ -295,6 +296,14 @@ where
     ndp_milp::run_batch(seeds.len(), move |i| f(seeds[i]))
 }
 
+/// Short machine-readable name of a basis kernel for bench tables/JSON.
+pub fn kernel_name(k: BasisKernel) -> &'static str {
+    match k {
+        BasisKernel::Dense => "dense",
+        BasisKernel::SparseLu => "sparse-lu",
+    }
+}
+
 /// Parses a `--pricing` flag value (`dse`/`steepest-edge`, `dantzig`).
 pub fn parse_pricing(s: &str) -> Option<Pricing> {
     match s {
@@ -435,6 +444,45 @@ fn json_f64(v: f64) -> String {
 }
 
 impl BenchRecord {
+    /// A record of a run under `options`: the configuration columns
+    /// (kernel, pricing, node order, warm start, cuts, heuristics,
+    /// propagation, threads and branch rule) are read from the options that
+    /// ran, `threads` resolved to the worker count. The status is empty,
+    /// the counters zero, the gap and bound NaN and the optional columns
+    /// `None`, for the caller to fill with struct-update syntax.
+    pub fn configured(instance: impl Into<String>, options: &SolverOptions) -> BenchRecord {
+        BenchRecord {
+            instance: instance.into(),
+            kernel: kernel_name(options.basis_kernel).into(),
+            pricing: pricing_name(options.pricing).into(),
+            node_order: node_order_name(options.node_order).into(),
+            warm_start: options.warm_start,
+            cuts: options.cuts,
+            heuristics: options.heuristics,
+            propagation: options.propagation,
+            threads: options.effective_threads(),
+            status: String::new(),
+            nodes: 0,
+            pivots: 0,
+            refactorizations: None,
+            factor_seconds: None,
+            strong_branch_seconds: None,
+            warm_starts: 0,
+            cold_starts: 0,
+            cuts_applied: 0,
+            heuristic_incumbents: 0,
+            propagated_bounds: 0,
+            gap: f64::NAN,
+            dual_bound: f64::NAN,
+            seconds: 0.0,
+            speedup: None,
+            batch: false,
+            portfolio: false,
+            sweep_wall_seconds: None,
+            branch_rule: Some(branch_rule_name(options.branch_rule).into()),
+        }
+    }
+
     /// Serializes the record as one JSON object (hand-formatted: the
     /// workspace carries no JSON dependency).
     pub fn to_json(&self) -> String {
@@ -718,36 +766,56 @@ mod tests {
         assert!(!j.contains("inf") && !j.contains("NaN"), "{j}");
     }
 
+    /// Every configuration column of a record comes from the options that
+    /// ran, including options that differ from every default.
+    #[test]
+    fn configured_record_reports_the_options_that_ran() {
+        let options = SolverOptions::default()
+            .basis_kernel(BasisKernel::Dense)
+            .pricing(Pricing::Dantzig)
+            .node_order(NodeOrder::BestBound)
+            .warm_start(false)
+            .cuts(true)
+            .heuristics(false)
+            .propagation(false)
+            .threads(3)
+            .branch_rule(BranchRule::MostFractional);
+        let r = BenchRecord::configured("M4-N4-seed7", &options);
+        assert_eq!(r.instance, "M4-N4-seed7");
+        assert_eq!(
+            (r.kernel.as_str(), r.pricing.as_str(), r.node_order.as_str()),
+            ("dense", "dantzig", "best-bound")
+        );
+        assert_eq!(
+            (r.warm_start, r.cuts, r.heuristics, r.propagation),
+            (false, true, false, false)
+        );
+        assert_eq!(r.threads, 3);
+        assert_eq!(r.branch_rule.as_deref(), Some("most-frac"));
+
+        let d = BenchRecord::configured("d", &SolverOptions::default().threads(1));
+        assert_eq!(
+            (d.kernel.as_str(), d.pricing.as_str(), d.node_order.as_str()),
+            ("sparse-lu", "dse", "dfs")
+        );
+        assert_eq!((d.warm_start, d.cuts, d.heuristics, d.propagation), (true, false, true, true));
+        assert_eq!(d.threads, 1);
+        assert_eq!(d.branch_rule.as_deref(), Some("reliability"));
+    }
+
     fn record(instance: &str) -> BenchRecord {
         BenchRecord {
-            instance: instance.into(),
-            kernel: "sparse-lu".into(),
-            pricing: "dse".into(),
-            node_order: "dfs".into(),
-            warm_start: true,
-            cuts: true,
-            heuristics: true,
-            propagation: true,
-            threads: 1,
             status: "Optimal".into(),
             nodes: 1,
             pivots: 2,
             refactorizations: Some(1),
             factor_seconds: Some(0.0),
             strong_branch_seconds: Some(0.0),
-            warm_starts: 0,
             cold_starts: 1,
-            cuts_applied: 0,
-            heuristic_incumbents: 0,
-            propagated_bounds: 0,
             gap: 0.0,
             dual_bound: 1.0,
             seconds: 0.1,
-            speedup: None,
-            batch: false,
-            portfolio: false,
-            sweep_wall_seconds: None,
-            branch_rule: None,
+            ..BenchRecord::configured(instance, &SolverOptions::default().threads(1))
         }
     }
 

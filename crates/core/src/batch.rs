@@ -629,7 +629,7 @@ mod tests {
             ("cut_node_interval", b().cut_node_interval(2)),
             ("warm_start", b().warm_start(false)),
             ("presolve", b().presolve(false)),
-            ("cuts", b().cuts(false)),
+            ("cuts", b().cuts(true)),
             ("heuristics", b().heuristics(false)),
             ("propagation", b().propagation(false)),
             ("branch_rule", b().branch_rule(BranchRule::MostFractional)),

@@ -117,7 +117,7 @@ mod tests {
         tweaked.solver.threads = 4;
         tweaked.solver.time_limit = 1.5;
         tweaked.solver.node_limit = 10;
-        tweaked.solver.cuts = false;
+        tweaked.solver.cuts = true;
         tweaked.solver.heuristics = false;
         tweaked.warm_start_with_heuristic = false;
         let fp = instance_fingerprint(&problem(7), &tweaked).unwrap();

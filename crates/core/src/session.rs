@@ -10,7 +10,7 @@
 //!
 //! * [`ScenarioEvent::CoreFault`] fixes the faulted processor's allocation
 //!   column `x[·][k]` to 0 — a pure restriction, re-solved warm on the
-//!   carried cuts and basis.
+//!   carried basis (and cut rows, when the solver separates cuts).
 //! * [`ScenarioEvent::DeadlineChange`] rewrites the `deadline[i]` rows of
 //!   the task and its duplicate in place. A tightening stays warm; a
 //!   relaxation falls back to a cold rebuild (the previous deployment
@@ -92,7 +92,8 @@ pub enum ScenarioEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventDisposition {
     /// Patched into the carried solver state; the next solve re-enters
-    /// warm on the previous cuts (and basis, when the search was serial).
+    /// warm on the previous form and cut rows (and basis, when the search
+    /// was serial).
     Incremental,
     /// Carried solver state was dropped (relaxation, or no state yet); the
     /// next solve rebuilds cold but still seeds from the last deployment.
@@ -705,10 +706,12 @@ impl DeploymentSession {
 mod tests {
     use super::*;
     use crate::validate::validate;
-    use ndp_milp::SolveStatus;
+    use ndp_milp::{ObserverHandle, SolveStatus, SolverEvent};
     use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
     use ndp_platform::Platform;
     use ndp_taskset::{generate, GeneratorConfig, GraphShape};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_instance(m: usize, seed: u64) -> ProblemInstance {
         let mut cfg = GeneratorConfig::typical(m);
@@ -737,6 +740,31 @@ mod tests {
         let d = out.deployment.as_ref().unwrap();
         assert!(validate(&p, d).is_empty());
         assert!(s.is_warm(), "first solve must arm the carry");
+    }
+
+    /// Root cuts are opt-in: a default session solve runs no separation
+    /// round and installs no cut, while the same solve with
+    /// [`SolverOptions::cuts`] on does both, so the check is not vacuous.
+    #[test]
+    fn default_session_solve_separates_no_cuts() {
+        let p = small_instance(3, 1);
+        let solve = |cuts: bool| {
+            let rounds = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&rounds);
+            let mut s = DeploymentSession::new(p.clone());
+            s.solver_mut().cuts |= cuts;
+            s.solver_mut().observer = ObserverHandle::new(Arc::new(move |e: &SolverEvent| {
+                if matches!(e, SolverEvent::CutRound { .. }) {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+            let out = s.solve().unwrap();
+            assert_eq!(out.status, SolveStatus::Optimal);
+            (rounds.load(Ordering::Relaxed), out.stats.cuts_applied)
+        };
+        assert_eq!(solve(false), (0, 0), "default solve: (cut rounds, cuts applied)");
+        let (rounds, applied) = solve(true);
+        assert!(rounds > 0 && applied > 0, "cuts on: {rounds} round(s), {applied} cut(s)");
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub enum NodeOrder {
 /// ```
 ///
 /// `SolverOptions::default()` is the exact arm's solver: reliability
-/// branching, root cuts, the root dive and node propagation on.
+/// branching, the root dive and node propagation on, root cuts off.
 ///
 /// [`Model::solve_with`]: crate::Model::solve_with
 #[derive(Debug, Clone, PartialEq)]
@@ -121,14 +121,20 @@ pub struct SolverOptions {
     pub threads: usize,
     /// Master switch of the cutting-plane engine (root separation loop and,
     /// when [`SolverOptions::cut_node_interval`] is set, in-tree rounds).
-    /// Cuts tighten the LP relaxation so the tree is proven with fewer
-    /// nodes; `false` reproduces the pure branch-and-bound search. The root
-    /// separates Gomory mixed-integer and knapsack cover cuts for up to 10
-    /// rounds; in-tree rounds separate cover cuts only.
+    /// The root separates Gomory mixed-integer and knapsack cover cuts for
+    /// up to 10 rounds; in-tree rounds separate cover cuts only.
+    ///
+    /// Off by default. Cuts pay under [`BranchRule::MostFractional`], whose
+    /// trees they shrink; the figure harness pins them on with that rule.
+    /// Under the default reliability branching they do not: tree sizes move
+    /// either way, while the appended rows, mostly dense Gomory rows, make
+    /// every later pivot, refactorization and probe dearer, so deployment
+    /// proofs and re-solves take about twice as long with cuts as without.
     pub cuts: bool,
     /// In-tree separation interval: every `k`-th depth of the serial search
     /// separates cover cuts at the node relaxation. `0` (default) disables
-    /// in-tree rounds (root cuts only). Ignored under `threads ≥ 2` —
+    /// in-tree rounds (root cuts only). Does nothing unless
+    /// [`SolverOptions::cuts`] is on. Ignored under `threads ≥ 2` —
     /// appended rows are worker-local and would break snapshot sharing
     /// economics, so parallel workers search with root cuts only.
     pub cut_node_interval: usize,
@@ -172,7 +178,7 @@ impl Default for SolverOptions {
             warm_start: true,
             presolve: true,
             threads: 0,
-            cuts: true,
+            cuts: false,
             cut_node_interval: 0,
             heuristics: true,
             propagation: true,
@@ -346,12 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn cuts_default_on_with_root_only_separation() {
+    fn cuts_default_off_with_root_only_separation() {
         let o = SolverOptions::default();
-        assert!(o.cuts);
+        assert!(!o.cuts, "the cut engine is opt-in");
         assert_eq!(o.cut_node_interval, 0, "in-tree rounds are opt-in");
-        let o = o.cuts(false).cut_node_interval(4);
-        assert!(!o.cuts);
+        let o = o.cuts(true).cut_node_interval(4);
+        assert!(o.cuts);
         assert_eq!(o.cut_node_interval, 4);
     }
 

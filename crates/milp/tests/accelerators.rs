@@ -5,13 +5,16 @@
 //! searched — never the answer. Each proptest below isolates one
 //! accelerator (the other off) and requires exact agreement with the
 //! brute-force optimum on random binary MILPs, plus feasibility of every
-//! returned incumbent; the all-on configuration is checked too, because
-//! the features interact (heuristic incumbents prune, propagation fathoms
-//! the subtrees they leave).
+//! returned incumbent; the all-on configuration, root and in-tree cuts
+//! included, is checked too, because the features interact (heuristic
+//! incumbents prune, propagation fathoms the subtrees they leave).
 
 mod common;
 
-use common::{brute_force, build_binary, objective_of, random_milp, satisfies_rows, RandomMilp};
+use common::{
+    assert_proves, brute_force, build_binary, cut_cases, objective_of, random_milp, satisfies_rows,
+    RandomMilp,
+};
 use ndp_milp::{SolveStatus, SolverOptions};
 use proptest::prelude::*;
 
@@ -70,14 +73,6 @@ proptest! {
         check_against_enumeration(&milp, &opts, "heuristics-only")?;
     }
 
-    /// Everything on at once — the production default plus in-tree cuts —
-    /// still matches enumeration exactly.
-    #[test]
-    fn all_accelerators_match_enumeration(milp in random_milp()) {
-        let opts = SolverOptions::default().threads(1).cut_node_interval(1);
-        check_against_enumeration(&milp, &opts, "all-on")?;
-    }
-
     /// Under a node budget too small to search, any incumbent the solver
     /// reports came from the root heuristics: it must satisfy every row
     /// and never beat the enumerated optimum.
@@ -101,6 +96,43 @@ proptest! {
             prop_assert!(ok, "incumbent {} beats the enumerated optimum {}", reported, best);
         }
     }
+}
+
+/// Everything on at once — the production default plus root and in-tree
+/// cuts — still matches enumeration exactly on random binary MILPs and
+/// random knapsacks ([`common::cut_cases`]), under the default options and
+/// again with presolve off. The root loop closes every random-MILP case at
+/// the root, so the check fails unless, with presolve off, at least a tenth
+/// of the knapsack cases explore three or more nodes (39 of these 150 do)
+/// and at least a tenth apply an in-tree cut (32 do).
+#[test]
+fn all_accelerators_match_enumeration() {
+    const CASES: usize = 150;
+    let cases = cut_cases("accelerators::all_accelerators_match_enumeration", CASES);
+    let (mut branching, mut tree_cutting) = (0, 0);
+    for (case, milp) in cases.iter().enumerate() {
+        let truth = brute_force(milp);
+        let (m, _) = build_binary(milp);
+        for presolve in [true, false] {
+            let root_only = SolverOptions::default().threads(1).cuts(true).presolve(presolve);
+            let all_on = root_only.clone().cut_node_interval(1);
+            let at = format!("case {case} (presolve {presolve})");
+            let sol = m.solve_with(&all_on).expect("solver must not error");
+            assert_proves(&sol, truth, &at);
+            if truth.is_some() {
+                assert!(m.is_feasible(sol.values(), 1e-6), "{at}: infeasible incumbent");
+            }
+            if !presolve && case >= CASES {
+                let root = m.solve_with(&root_only).expect("solver must not error");
+                branching += usize::from(sol.node_count() >= 3);
+                // The root loop does not read the interval, so every cut
+                // beyond the root-only solve's was applied in the tree.
+                tree_cutting += usize::from(sol.stats().cuts_applied > root.stats().cuts_applied);
+            }
+        }
+    }
+    assert!(10 * branching >= CASES, "only {branching} of {CASES} knapsacks explored three nodes");
+    assert!(10 * tree_cutting >= CASES, "only {tree_cutting} of {CASES} knapsacks cut in the tree");
 }
 
 /// Repeated seeded-heuristic solves agree bit-for-bit on the incumbent:

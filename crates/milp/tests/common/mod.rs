@@ -12,6 +12,7 @@ use ndp_milp::{
     ConstraintSense, LinExpr, Model, Objective, Observer, Solution, SolveStatus, SolverEvent, VarId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::sync::{Arc, Mutex};
 
 /// A random all-binary MILP with small integer data: the workhorse of the
@@ -268,4 +269,42 @@ pub fn recording_observer() -> (Arc<Mutex<Vec<SolverEvent>>>, Arc<dyn Observer>)
     let obs: Arc<dyn Observer> =
         Arc::new(move |e: &SolverEvent| sink.lock().unwrap().push(e.clone()));
     (events, obs)
+}
+
+/// Proptest strategy over correlated multi-row knapsacks: 6–12 binaries, one
+/// or two `≤`-rows with weights in 3..=15 and a capacity of 35–65 % of the
+/// row's weight sum, maximizing profits that hug the first row's weights.
+/// The root cut loop closes nearly every [`random_milp`] case, so the
+/// cut-engine checks draw these too: about a quarter of them still branch
+/// under root cuts and apply in-tree cuts.
+pub fn random_knapsack() -> impl Strategy<Value = RandomMilp> {
+    (6usize..=12, 1usize..=2).prop_flat_map(|(n, m)| {
+        let weights = proptest::collection::vec(proptest::collection::vec(3i32..=15, n), m);
+        let noise = proptest::collection::vec(0i32..=3, n);
+        let fill = proptest::collection::vec(35i32..=65, m);
+        (weights, noise, fill).prop_map(move |(weights, noise, fill)| {
+            let obj = weights[0].iter().zip(&noise).map(|(w, e)| w + e).collect();
+            let rows = weights
+                .into_iter()
+                .zip(fill)
+                .map(|(w, f)| {
+                    let cap = w.iter().sum::<i32>() * f / 100;
+                    (w, 0u8, cap)
+                })
+                .collect();
+            RandomMilp { n, obj, maximize: true, rows }
+        })
+    })
+}
+
+/// The instances of the cut-engine enumeration checks, drawn from
+/// `TestRng::for_test(name)`: `per_family` [`random_milp`] cases (general
+/// rows, infeasible cases included) followed by `per_family`
+/// [`random_knapsack`] cases (which reach the tree under root cuts).
+pub fn cut_cases(name: &str, per_family: usize) -> Vec<RandomMilp> {
+    let mut rng = TestRng::for_test(name);
+    let (general, knapsacks) = (random_milp(), random_knapsack());
+    let mut cases: Vec<RandomMilp> = (0..per_family).map(|_| general.generate(&mut rng)).collect();
+    cases.extend((0..per_family).map(|_| knapsacks.generate(&mut rng)));
+    cases
 }

@@ -57,7 +57,7 @@ fn event_stream_has_the_canonical_order() {
 #[test]
 fn cut_round_events_precede_the_root_and_are_well_formed() {
     let (events, obs) = recording_observer();
-    let opts = SolverOptions::default().threads(1).observer(obs);
+    let opts = SolverOptions::default().threads(1).cuts(true).observer(obs);
     let sol = hard_knapsack(14).solve_with(&opts).unwrap();
     assert_eq!(sol.status(), SolveStatus::Optimal);
 
@@ -106,14 +106,18 @@ fn serial_event_stream_is_deterministic() {
 
 /// Determinism must survive in-tree separation: `CutRound` is
 /// timestamp-free and the cover separator is deterministic, so a serial
-/// solve with cuts at every depth replays bit-for-bit.
+/// solve with cuts at every depth replays bit-for-bit. The fixture applies
+/// cuts in the tree, beyond the root loop's.
 #[test]
 fn serial_event_stream_is_deterministic_with_tree_cuts() {
+    let root_only = SolverOptions::default().threads(1).cuts(true);
+    let root_cuts = hard_knapsack(14).solve_with(&root_only).unwrap().stats().cuts_applied;
     let run = || {
         let (events, obs) = recording_observer();
-        let opts = SolverOptions::default().threads(1).cut_node_interval(1).observer(obs);
+        let opts = root_only.clone().cut_node_interval(1).observer(obs);
         let sol = hard_knapsack(14).solve_with(&opts).unwrap();
         assert_eq!(sol.status(), SolveStatus::Optimal);
+        assert!(sol.stats().cuts_applied > root_cuts, "fixture must cut in the tree");
         let e = events.lock().unwrap();
         e.iter().map(|ev| format!("{ev:?}")).collect::<Vec<_>>()
     };
@@ -237,7 +241,7 @@ fn stats_buckets_are_consistent() {
 /// one `HeuristicIncumbent` per accepted heuristic point, and
 /// `NodePropagated` tightenings summing to the `propagated_bounds` counter.
 /// Whether the root dive rounds to a packable point on one knapsack depends
-/// on the vertex the cut loop ends on, so the check runs over several sizes
+/// on the root LP vertex, so the check runs over several sizes
 /// and requires at least one heuristic incumbent and one propagation event
 /// over the list.
 #[test]
@@ -284,6 +288,7 @@ fn serial_event_stream_is_deterministic_with_all_accelerators() {
         let (events, obs) = recording_observer();
         let opts = SolverOptions::default()
             .threads(1)
+            .cuts(true)
             .cut_node_interval(1)
             .heuristics(true)
             .propagation(true)
@@ -291,8 +296,9 @@ fn serial_event_stream_is_deterministic_with_all_accelerators() {
         let sol = hard_knapsack(14).solve_with(&opts).unwrap();
         assert_eq!(sol.status(), SolveStatus::Optimal);
         // The default reliability branching probes here, so the stream
-        // covers strong branching too.
+        // covers strong branching and cut rounds too.
         assert!(sol.stats().strong_branch_probes > 0, "reliability branching must probe");
+        assert!(sol.stats().cuts_applied > 0, "the fixture must apply cuts");
         let e = events.lock().unwrap();
         e.iter().map(|ev| format!("{ev:?}")).collect::<Vec<_>>()
     };

@@ -175,9 +175,14 @@ fn accelerator_ablation_preserves_the_optimum_and_the_tree_size() {
             // No external heuristic seed: the solver's own accelerators are
             // the variable under test.
             warm_start_with_heuristic: false,
+            // Root cuts on: the configuration this test and the CI
+            // `--heuristics-ablation` gate were calibrated on. Without cuts
+            // the all-on arm needs 115 nodes against 91 all-off, all of it
+            // from propagation (ROADMAP item 8).
             solver: SolverOptions::default()
                 .threads(1)
                 .time_limit(30.0)
+                .cuts(true)
                 .heuristics(heuristics)
                 .propagation(propagation),
             ..OptimalConfig::default()

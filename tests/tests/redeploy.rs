@@ -102,46 +102,51 @@ proptest! {
 
     /// apply + warm re-solve == rebuild-from-scratch, for every prefix of
     /// a random delta sequence, with the session searching serial or
-    /// parallel (the scratch reference stays serial).
+    /// parallel (the scratch reference stays serial). One pass runs the
+    /// default options and one switches root cuts on, so cut rows carried
+    /// through the deltas stay covered.
     #[test]
     fn warm_resolve_equals_scratch_rebuild(
         milp in random_milp(),
         deltas in random_deltas(),
         threads in 1usize..=2,
     ) {
-        let (model, mut vars, mut rows) = build_model(&milp);
-        let mut sess = ResolveSession::new(model, serial_options().threads(threads));
-        sess.solve().expect("base solve");
-        // The model has no public rhs accessor, so mirror row capacities here.
-        let mut caps: Vec<f64> = milp.rows.iter().map(|(_, c)| *c).collect();
-        for step in &deltas {
-            let mut d = sess.model().delta();
-            let n = vars.len();
-            match step {
-                RandomDelta::Fix(v) => d.fix(vars[v % n], 0.0),
-                RandomDelta::ScaleRhs(r, factor) => {
-                    let row = r % caps.len();
-                    caps[row] *= factor;
-                    d.set_rhs(rows[row], caps[row]);
+        for cuts in [false, true] {
+            let (model, mut vars, mut rows) = build_model(&milp);
+            let mut sess = ResolveSession::new(model, serial_options().cuts(cuts).threads(threads));
+            sess.solve().expect("base solve");
+            // The model has no public rhs accessor, so mirror row capacities
+            // here.
+            let mut caps: Vec<f64> = milp.rows.iter().map(|(_, c)| *c).collect();
+            for step in &deltas {
+                let mut d = sess.model().delta();
+                let n = vars.len();
+                match step {
+                    RandomDelta::Fix(v) => d.fix(vars[v % n], 0.0),
+                    RandomDelta::ScaleRhs(r, factor) => {
+                        let row = r % caps.len();
+                        caps[row] *= factor;
+                        d.set_rhs(rows[row], caps[row]);
+                    }
+                    RandomDelta::AddVar(value) => {
+                        let z = d.add_var(format!("z{n}"), VarKind::Binary, 0.0, 1.0, *value);
+                        rows.push(d.add_le(format!("zcap{n}"), LinExpr::term(z, 1.0), 1.0));
+                        vars.push(z);
+                        caps.push(1.0);
+                    }
+                    RandomDelta::TightenBound(v) => d.set_bounds(vars[v % n], 0.0, 0.0),
                 }
-                RandomDelta::AddVar(value) => {
-                    let z = d.add_var(format!("z{n}"), VarKind::Binary, 0.0, 1.0, *value);
-                    rows.push(d.add_le(format!("zcap{n}"), LinExpr::term(z, 1.0), 1.0));
-                    vars.push(z);
-                    caps.push(1.0);
+                sess.apply(&d).expect("delta applies");
+                let warm = sess.solve().expect("warm re-solve");
+                let scratch = sess.model().solve_with(&serial_options()).expect("scratch solve");
+                prop_assert_eq!(warm.status(), scratch.status(), "cuts {} delta {:?}", cuts, step);
+                if warm.status() == SolveStatus::Optimal {
+                    let (w, s) = (warm.objective_value(), scratch.objective_value());
+                    prop_assert!(
+                        (w - s).abs() <= 1e-5 * s.abs().max(1.0),
+                        "cuts {} delta {:?}: warm {} vs scratch {}", cuts, step, w, s
+                    );
                 }
-                RandomDelta::TightenBound(v) => d.set_bounds(vars[v % n], 0.0, 0.0),
-            }
-            sess.apply(&d).expect("delta applies");
-            let warm = sess.solve().expect("warm re-solve");
-            let scratch = sess.model().solve_with(&serial_options()).expect("scratch solve");
-            prop_assert_eq!(warm.status(), scratch.status(), "delta {:?}", step);
-            if warm.status() == SolveStatus::Optimal {
-                let (w, s) = (warm.objective_value(), scratch.objective_value());
-                prop_assert!(
-                    (w - s).abs() <= 1e-5 * s.abs().max(1.0),
-                    "delta {:?}: warm {} vs scratch {}", step, w, s
-                );
             }
         }
     }
