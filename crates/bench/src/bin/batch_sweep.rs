@@ -14,10 +14,10 @@
 //!   (per-figure wall seconds and cache hits/misses).
 //! * `--batch-smoke`: CI gate. Solves a small always-provable family
 //!   once serially (one `DeploymentSession` per member) and once through
-//!   a `BatchSession` (plus once more in portfolio mode), then exits
-//!   non-zero if any batch result diverges from its serial counterpart
-//!   (status, or objective bits for the non-racing batch) or if the
-//!   batch wall-clock regresses past the serial wall-clock.
+//!   a `BatchSession`, then exits non-zero if any batch result diverges
+//!   from its serial counterpart (status or objective bits), if no
+//!   duplicate member replays from the cache, or if the batch wall-clock
+//!   regresses past the serial wall-clock.
 //! * `--append-json [PATH]`: append sweep/smoke trajectory records
 //!   (`batch: true`, `sweep_wall_seconds`) to `PATH` (default
 //!   `BENCH_milp.json`) in the accumulating array layout of
@@ -64,7 +64,6 @@ fn parse_baseline(path: &str) -> Result<std::collections::HashMap<String, f64>, 
 fn sweep_record(
     instance: &str,
     options: &SolverOptions,
-    portfolio: bool,
     seconds: f64,
     sweep_wall: f64,
     speedup: Option<f64>,
@@ -74,7 +73,6 @@ fn sweep_record(
         seconds,
         speedup,
         batch: true,
-        portfolio,
         sweep_wall_seconds: Some(sweep_wall),
         ..BenchRecord::configured(instance, options)
     }
@@ -85,26 +83,25 @@ fn full_sweep(
     baseline: Option<&std::collections::HashMap<String, f64>>,
 ) -> i32 {
     type FigFn = fn(&ExperimentContext);
-    let figures: [(&str, FigFn, bool); 8] = [
-        ("fig2a", figs::fig2a, true),
-        ("fig2b", figs::fig2b, false),
-        ("fig2c", figs::fig2c, false),
-        ("fig2d", figs::fig2d, false),
-        ("fig2e", figs::fig2e, false),
-        ("fig2f", figs::fig2f, false),
-        ("fig2g", figs::fig2g, false),
-        ("fig2h", figs::fig2h, false),
+    let figures: [(&str, FigFn); 8] = [
+        ("fig2a", figs::fig2a),
+        ("fig2b", figs::fig2b),
+        ("fig2c", figs::fig2c),
+        ("fig2d", figs::fig2d),
+        ("fig2e", figs::fig2e),
+        ("fig2f", figs::fig2f),
+        ("fig2g", figs::fig2g),
+        ("fig2h", figs::fig2h),
     ];
     let ctx = ExperimentContext::new();
     let t_all = Instant::now();
-    let mut rows: Vec<(&str, bool, f64, u64, u64)> = Vec::new();
-    for (name, fig, portfolio) in figures {
+    let mut rows: Vec<(&str, f64, u64, u64)> = Vec::new();
+    for (name, fig) in figures {
         let (h0, m0) = (ctx.cache().hits(), ctx.cache().misses());
         let t0 = Instant::now();
         fig(&ctx);
         rows.push((
             name,
-            portfolio,
             t0.elapsed().as_secs_f64(),
             ctx.cache().hits() - h0,
             ctx.cache().misses() - m0,
@@ -124,7 +121,7 @@ fn full_sweep(
     });
     println!("# batch sweep summary (shared context, one process)");
     println!("{:>8} {:>10} {:>6} {:>8} {:>9}", "figure", "seconds", "hits", "misses", "speedup");
-    for (name, _, secs, hits, misses) in &rows {
+    for (name, secs, hits, misses) in &rows {
         match figure_speedup(name, *secs) {
             Some(s) => println!("{name:>8} {secs:>10.1} {hits:>6} {misses:>8} {s:>8.2}x"),
             None => println!("{name:>8} {secs:>10.1} {hits:>6} {misses:>8} {:>9}", "-"),
@@ -142,11 +139,10 @@ fn full_sweep(
     if let Some(path) = append {
         let mut records: Vec<BenchRecord> = rows
             .iter()
-            .map(|(name, portfolio, secs, _, _)| {
+            .map(|(name, secs, _, _)| {
                 sweep_record(
                     &format!("batch-{name}"),
                     &exact_solver_options(),
-                    *portfolio,
                     *secs,
                     total,
                     figure_speedup(name, *secs),
@@ -156,7 +152,6 @@ fn full_sweep(
         records.push(sweep_record(
             "batch-fig2-sweep",
             &exact_solver_options(),
-            false,
             total,
             total,
             total_speedup,
@@ -219,7 +214,7 @@ fn smoke_family() -> Vec<(Arc<ProblemInstance>, OptimalConfig)> {
 
 fn batch_smoke(append: Option<&str>) -> i32 {
     let members = smoke_family();
-    println!("# batch smoke: {} members (serial vs batch vs portfolio)", members.len());
+    println!("# batch smoke: {} members (serial vs batch)", members.len());
 
     let t0 = Instant::now();
     let serial: Vec<_> = members
@@ -236,13 +231,6 @@ fn batch_smoke(append: Option<&str>) -> i32 {
     let batched = batch.solve_all();
     let batch_wall = t0.elapsed().as_secs_f64();
 
-    let mut race = BatchSession::new();
-    for (p, cfg) in &members {
-        race.add(Arc::clone(p), cfg.clone());
-    }
-    race.set_portfolio(true);
-    let raced = race.solve_all();
-
     let mut failures = 0u32;
     for (i, (want, got)) in serial.iter().zip(&batched).enumerate() {
         let got = got.as_ref().expect("batch solve");
@@ -256,23 +244,8 @@ fn batch_smoke(append: Option<&str>) -> i32 {
             failures += 1;
         }
     }
-    for (i, (want, got)) in serial.iter().zip(&raced).enumerate() {
-        let got = got.as_ref().expect("portfolio solve");
-        let (a, b) =
-            (want.objective_mj.unwrap_or(f64::NAN), got.outcome.objective_mj.unwrap_or(f64::NAN));
-        if want.status != got.outcome.status || (a - b).abs() > 1e-5 * a.abs().max(1.0) {
-            eprintln!(
-                "member {i}: portfolio diverged (serial {:?}/{a} vs raced {:?}/{b})",
-                want.status, got.outcome.status
-            );
-            failures += 1;
-        }
-    }
     let replays = batched.iter().filter(|r| r.as_ref().is_ok_and(|o| o.from_cache)).count();
-    println!(
-        "serial {serial_wall:.2} s, batch {batch_wall:.2} s ({replays} cache replays), \
-         portfolio consistent"
-    );
+    println!("serial {serial_wall:.2} s, batch {batch_wall:.2} s ({replays} cache replays)");
     if replays == 0 {
         eprintln!("batch smoke: duplicate members did not replay from the cache");
         failures += 1;
@@ -286,18 +259,10 @@ fn batch_smoke(append: Option<&str>) -> i32 {
     }
     if let Some(path) = append {
         let records = [
-            sweep_record(
-                "batch-smoke-serial",
-                &smoke_options(),
-                false,
-                serial_wall,
-                serial_wall,
-                None,
-            ),
+            sweep_record("batch-smoke-serial", &smoke_options(), serial_wall, serial_wall, None),
             sweep_record(
                 "batch-smoke-batch",
                 &smoke_options(),
-                false,
                 batch_wall,
                 batch_wall,
                 Some(serial_wall / batch_wall),

@@ -7,10 +7,10 @@
 //! `α`, (ii) multi-path is at least as feasible as single-path, and
 //! (iii) multi-path energy ≤ single-path energy.
 //!
-//! Runs on the batch engine in portfolio mode: per seed, the single-path
-//! member is linked into the multi-path member so its solution seeds the
-//! larger search the moment it lands (`ndp_bench::figs::fig2a`). The
-//! whole-family sweep lives in `batch_sweep`.
+//! Runs on the batch engine: per seed, the single-path member is linked
+//! into the multi-path member so its solution seeds the larger search the
+//! moment it lands (`ndp_bench::figs::fig2a`). The whole-family sweep
+//! lives in `batch_sweep`.
 
 use ndp_bench::figs::{fig2a, ExperimentContext};
 

@@ -74,11 +74,12 @@ fn exact_cfg() -> OptimalConfig {
     OptimalConfig { solver: exact_solver_options(), ..OptimalConfig::default() }
 }
 
-/// Fig. 2(a): multi-path vs single-path energy/feasibility vs `α`, with
-/// the two arms raced as a portfolio: the single-path member is linked
-/// into the multi-path member, so the single-path deployment seeds the
-/// multi-path search the moment it lands (as a warm start before the
-/// multi solve enters the tree, through its incumbent feed afterwards).
+/// Fig. 2(a): multi-path vs single-path energy/feasibility vs `α`. The
+/// single-path member is linked into the multi-path member, so the
+/// single-path deployment seeds the multi-path search the moment it lands
+/// (as a warm start before the multi solve enters the tree, through its
+/// incumbent feed afterwards). Single-path members enter the context's
+/// cache; their multi-path targets solve with a live feed and bypass it.
 pub fn fig2a(ctx: &ExperimentContext) {
     let seeds: Vec<u64> = (0..6).collect();
     let alphas = [0.25, 0.5, 1.0, 1.5, 2.0];
@@ -89,7 +90,6 @@ pub fn fig2a(ctx: &ExperimentContext) {
     );
     for &alpha in &alphas {
         let mut batch = ctx.batch();
-        batch.set_portfolio(true);
         // All single-path members first: on the work-stealing pool they
         // are claimed (and mostly finished) before their multi-path
         // targets start, mirroring the serial solve-single-then-multi

@@ -218,13 +218,7 @@ pub fn reduce_outcome(
 /// A [`DeploymentSession`] configured like an [`OptimalConfig`]: how the
 /// figure binaries reach the exact solver.
 pub fn session_for(problem: &ProblemInstance, config: &OptimalConfig) -> DeploymentSession {
-    DeploymentSession::builder(problem.clone())
-        .path_mode(config.path_mode)
-        .objective(config.objective)
-        .warm_start_with_heuristic(config.warm_start_with_heuristic)
-        .warm_start_deployment(config.warm_start_deployment.clone())
-        .solver(config.solver.clone())
-        .build()
+    DeploymentSession::builder(problem.clone()).config(config.clone()).build()
 }
 
 /// Runs the exact solver on `problem` with `config`, reducing the outcome.
@@ -423,8 +417,6 @@ pub struct BenchRecord {
     /// The record came from the batch engine (`BatchSession` /
     /// `batch_sweep`) rather than a serial one-at-a-time run.
     pub batch: bool,
-    /// Portfolio racing (heuristic vs exact arms) was enabled.
-    pub portfolio: bool,
     /// For sweep-level records: end-to-end wall-clock of the full sweep
     /// this record belongs to. `None` for per-solve records.
     pub sweep_wall_seconds: Option<f64>,
@@ -477,7 +469,6 @@ impl BenchRecord {
             seconds: 0.0,
             speedup: None,
             batch: false,
-            portfolio: false,
             sweep_wall_seconds: None,
             branch_rule: Some(branch_rule_name(options.branch_rule).into()),
         }
@@ -497,7 +488,7 @@ impl BenchRecord {
                 "\"warm_starts\":{},\"cold_starts\":{},\"cuts_applied\":{},",
                 "\"heuristic_incumbents\":{},\"propagated_bounds\":{},",
                 "\"gap\":{},\"dual_bound\":{},\"seconds\":{:.4},\"speedup\":{},",
-                "\"batch\":{},\"portfolio\":{},\"sweep_wall_seconds\":{},",
+                "\"batch\":{},\"sweep_wall_seconds\":{},",
                 "\"branch_rule\":{}}}"
             ),
             self.instance,
@@ -525,7 +516,6 @@ impl BenchRecord {
             self.seconds,
             self.speedup.map_or_else(|| "null".to_string(), json_f64),
             self.batch,
-            self.portfolio,
             self.sweep_wall_seconds.map_or_else(|| "null".to_string(), json_f64),
             self.branch_rule.as_ref().map_or_else(|| "null".to_string(), |r| format!("\"{r}\"")),
         )
@@ -685,7 +675,6 @@ mod tests {
             seconds: 0.25,
             speedup: None,
             batch: true,
-            portfolio: false,
             sweep_wall_seconds: Some(123.5),
             branch_rule: Some("reliability".into()),
         };
@@ -713,7 +702,6 @@ mod tests {
             "\"dual_bound\":42.500000",
             "\"seconds\":0.2500",
             "\"batch\":true",
-            "\"portfolio\":false",
             "\"sweep_wall_seconds\":123.500000",
             "\"branch_rule\":\"reliability\"",
         ] {
@@ -751,7 +739,6 @@ mod tests {
             seconds: 6.0,
             speedup: None,
             batch: false,
-            portfolio: false,
             sweep_wall_seconds: Some(f64::NAN),
             branch_rule: None,
         };

@@ -1,4 +1,4 @@
-//! Batch and portfolio solving of deployment-problem families.
+//! Batch solving of deployment-problem families.
 //!
 //! Experiment sweeps (the fig2 family, ablations, seed grids) solve many
 //! closely related instances: the same task set under several configs, or
@@ -15,27 +15,22 @@
 //!   on the process-global MILP worker pool (via
 //!   [`ndp_milp::run_batch`]), not as chunked scoped-thread barriers.
 //!   Results come back in member order regardless of completion order.
-//! * **Portfolio racing** — in [`portfolio`](BatchSession::set_portfolio)
-//!   mode each member races its heuristic arm against the exact arm: a
-//!   heuristic point that lands first is installed as the exact arm's
-//!   starting incumbent (before the solve starts) or published into its
-//!   [`IncumbentFeed`] (mid-solve); an exact arm that *proves* its answer
-//!   first cancels the heuristic arm via [`CancelToken`].
 //! * **Cross-member seeding** —
 //!   [`link_incumbents`](BatchSession::link_incumbents) forwards one
 //!   member's deployment to another as soon as it lands: as a warm-start
 //!   candidate when the target has not started, through the target's
-//!   incumbent feed when it is already solving (fig2a seeds the
+//!   [`IncumbentFeed`] when it is already solving (fig2a seeds the
 //!   multi-path solve from the single-path optimum this way).
 //!
 //! Every member runs the same presolve-free [`DeploymentSession`]
-//! pipeline as a serial one-at-a-time solve, so with racing off a batch
-//! solve is bit-identical to the serial baseline; cached replays return
-//! the first (serial-pipeline) result verbatim. Racing and mid-solve
-//! feeds can only change *how fast* a proven answer is found, never the
+//! pipeline as a serial one-at-a-time solve, so every member that is not
+//! a link target solves bit-identically to the serial baseline; cached
+//! replays return the first (serial-pipeline) result verbatim. A link
+//! target's seeds can only change *how fast* a proven answer is found, never the
 //! proven status or optimal objective. Members whose trajectory is not a
-//! pure function of the request — a caller [`CancelToken`] (wall-clock
-//! dependent) or a live incumbent feed (seed-arrival dependent) — bypass
+//! pure function of the request — a caller
+//! [`CancelToken`](ndp_milp::CancelToken) (wall-clock dependent) or the
+//! live incumbent feed of a link target (seed-arrival dependent) — bypass
 //! the cache entirely, in both directions.
 
 use std::collections::HashMap;
@@ -49,7 +44,7 @@ use crate::problem::ProblemInstance;
 use crate::session::DeploymentSession;
 use crate::solution::Deployment;
 use ndp_milp::fingerprint::Fnv64;
-use ndp_milp::{run_batch, CancelToken, IncumbentFeed, SolveStatus, SolverOptions};
+use ndp_milp::{run_batch, IncumbentFeed, SolverOptions};
 
 /// Digest of the solver knobs that steer the search trajectory.
 ///
@@ -66,7 +61,6 @@ fn trajectory_digest(s: &SolverOptions) -> u64 {
         time_limit,
         node_limit,
         threads,
-        cut_node_interval,
         warm_start,
         presolve,
         cuts,
@@ -90,7 +84,7 @@ fn trajectory_digest(s: &SolverOptions) -> u64 {
     } = s;
     let mut h = Fnv64::with_state(0x9e37_79b9_7f4a_7c15);
     h.write_f64(*time_limit);
-    for v in [node_limit, threads, cut_node_interval] {
+    for v in [node_limit, threads] {
         h.write_u64(*v as u64);
     }
     for (i, b) in [warm_start, presolve, cuts, heuristics, propagation].into_iter().enumerate() {
@@ -280,7 +274,7 @@ pub struct BatchOutcome {
     /// of solved.
     pub from_cache: bool,
     /// Whether a heuristic or linked-member point was available as the
-    /// exact arm's starting incumbent when it entered the search.
+    /// member's starting incumbent when it entered the search.
     pub seeded: bool,
 }
 
@@ -290,16 +284,16 @@ struct Member {
     config: OptimalConfig,
 }
 
-/// Per-member cross-arm / cross-member seeding state.
+/// Per-member cross-member seeding state.
 #[derive(Default)]
 struct SeedState {
-    /// The member's exact arm has begun assembling its solve.
+    /// The member has begun assembling its solve.
     started: bool,
-    /// Deployment-space seeds that arrived before the member started
-    /// (portfolio heuristic, linked members).
+    /// Deployment-space seeds from linked members that arrived before the
+    /// member started.
     seeds: Vec<Deployment>,
-    /// Mid-solve injection channel, attached to the exact arm's solver
-    /// options when the member can receive late seeds.
+    /// Mid-solve injection channel, attached to the solver options of a
+    /// link target.
     feed: Option<IncumbentFeed>,
 }
 
@@ -307,7 +301,6 @@ struct SharedState {
     members: Vec<Member>,
     /// `links[from]` lists the members seeded by `from`'s deployment.
     links: Vec<Vec<usize>>,
-    portfolio: bool,
     cache: SolveCache,
     /// Heuristic deployments keyed by problem-instance identity
     /// (`Arc::as_ptr`): members added with the same `Arc` share one
@@ -317,18 +310,12 @@ struct SharedState {
     seed_state: Vec<Mutex<SeedState>>,
 }
 
-enum ArmOutcome {
-    Heuristic,
-    Exact(Box<Result<BatchOutcome>>),
-}
-
 /// A family of deployment solves scheduled together on the global worker
-/// pool, with shared heuristic/solve artifacts and optional
-/// heuristic-vs-exact racing. See the [module docs](self).
+/// pool, with shared heuristic/solve artifacts and cross-member seeding.
+/// See the [module docs](self).
 pub struct BatchSession {
     members: Vec<Member>,
     links: Vec<(usize, usize)>,
-    portfolio: bool,
     cache: SolveCache,
 }
 
@@ -340,7 +327,7 @@ impl BatchSession {
 
     /// An empty batch memoizing into (and replaying from) `cache`.
     pub fn with_cache(cache: SolveCache) -> Self {
-        BatchSession { members: Vec::new(), links: Vec::new(), portfolio: false, cache }
+        BatchSession { members: Vec::new(), links: Vec::new(), cache }
     }
 
     /// Adds one `(problem, config)` member; returns its index (the
@@ -374,12 +361,6 @@ impl BatchSession {
         self.links.push((from, to));
     }
 
-    /// Enables or disables portfolio racing (default: off). See the
-    /// [module docs](self) for the racing semantics.
-    pub fn set_portfolio(&mut self, yes: bool) {
-        self.portfolio = yes;
-    }
-
     /// Number of members added so far.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -408,14 +389,13 @@ impl BatchSession {
         }
         let seed_state = (0..n)
             .map(|i| {
-                let feed = (self.portfolio || linked_target[i]).then(IncumbentFeed::new);
+                let feed = linked_target[i].then(IncumbentFeed::new);
                 Mutex::new(SeedState { feed, ..SeedState::default() })
             })
             .collect();
         let shared = Arc::new(SharedState {
             members: self.members.clone(),
             links,
-            portfolio: self.portfolio,
             cache: self.cache.clone(),
             heuristics: Mutex::new(HashMap::new()),
             seed_state,
@@ -451,12 +431,8 @@ fn member_heuristic(shared: &SharedState, i: usize) -> Option<Deployment> {
     h
 }
 
-fn solve_member(shared: &Arc<SharedState>, i: usize) -> Result<BatchOutcome> {
-    let result = if shared.portfolio {
-        solve_member_racing(shared, i)
-    } else {
-        solve_exact(shared, i, None)
-    };
+fn solve_member(shared: &SharedState, i: usize) -> Result<BatchOutcome> {
+    let result = solve_exact(shared, i);
     // Forward this member's deployment to linked members the moment it
     // lands: as a pre-start warm candidate, or through the live feed.
     if let Ok(out) = &result {
@@ -491,66 +467,20 @@ fn publish_seed(shared: &SharedState, to: usize, d: &Deployment) {
     feed.publish(enc.warm_start_values(&member.problem, d));
 }
 
-/// Portfolio mode: race the heuristic arm against the exact arm. The two
-/// arms are scheduled as an inner work-stealing batch; on a single worker
-/// the heuristic (milliseconds) simply runs first and seeds the exact
-/// solve, which is exactly the serial warm-start pipeline.
-fn solve_member_racing(shared: &Arc<SharedState>, i: usize) -> Result<BatchOutcome> {
-    // A proven exact answer cancels the (not yet started) heuristic arm.
-    let beaten = CancelToken::new();
-    let arms = {
-        let shared = Arc::clone(shared);
-        let beaten = beaten.clone();
-        run_batch(2, move |arm| {
-            if arm == 0 {
-                // Heuristic arm. The 3-phase heuristic has no internal
-                // cancellation points (it runs in milliseconds), so the
-                // race checks the token once, on entry.
-                if !beaten.is_cancelled() {
-                    if let Some(h) = member_heuristic(&shared, i) {
-                        publish_seed(&shared, i, &h);
-                    }
-                }
-                ArmOutcome::Heuristic
-            } else {
-                let result = solve_exact(&shared, i, None);
-                if let Ok(out) = &result {
-                    if matches!(out.outcome.status, SolveStatus::Optimal | SolveStatus::Infeasible)
-                    {
-                        beaten.cancel();
-                    }
-                }
-                ArmOutcome::Exact(Box::new(result))
-            }
-        })
-    };
-    for arm in arms {
-        if let ArmOutcome::Exact(result) = arm {
-            return *result;
-        }
-    }
-    unreachable!("the exact arm always reports an outcome")
-}
-
-/// The exact arm: assemble warm-start candidates, consult the memo
+/// One member's solve: assemble warm-start candidates, consult the memo
 /// cache, and otherwise run the member through the same presolve-free
 /// `DeploymentSession` pipeline a serial solve uses.
-fn solve_exact(
-    shared: &SharedState,
-    i: usize,
-    extra_seed: Option<Deployment>,
-) -> Result<BatchOutcome> {
+fn solve_exact(shared: &SharedState, i: usize) -> Result<BatchOutcome> {
     let member = &shared.members[i];
     let cfg = &member.config;
 
     // Candidate set mirrors the serial session: heuristic seed (shared),
-    // caller-provided warm start, plus any cross-member / racing seeds.
+    // caller-provided warm start, plus any linked-member seeds.
     let mut candidates: Vec<Deployment> = Vec::new();
     if cfg.warm_start_with_heuristic {
         candidates.extend(member_heuristic(shared, i));
     }
     candidates.extend(cfg.warm_start_deployment.clone());
-    candidates.extend(extra_seed);
     // Mark started and drain pre-start seeds under one lock so a
     // concurrent publisher either lands in `seeds` or sees `started`.
     let feed = {
@@ -611,7 +541,7 @@ mod tests {
     use super::*;
     use crate::formulation::{DeployObjective, PathMode};
     use crate::validate::validate;
-    use ndp_milp::SolverOptions;
+    use ndp_milp::{CancelToken, SolverOptions};
     use ndp_noc::{Mesh2D, NocParams, PathKind, WeightedNoc};
     use ndp_platform::Platform;
     use ndp_taskset::{generate, GeneratorConfig, GraphShape};
@@ -626,7 +556,6 @@ mod tests {
             ("time_limit", b().time_limit(6.0)),
             ("node_limit", b().node_limit(10)),
             ("threads", b().threads(2)),
-            ("cut_node_interval", b().cut_node_interval(2)),
             ("warm_start", b().warm_start(false)),
             ("presolve", b().presolve(false)),
             ("cuts", b().cuts(true)),
@@ -665,15 +594,7 @@ mod tests {
     }
 
     fn serial_solve(problem: &ProblemInstance, cfg: &OptimalConfig) -> OptimalOutcome {
-        DeploymentSession::builder(problem.clone())
-            .path_mode(cfg.path_mode)
-            .objective(cfg.objective)
-            .warm_start_with_heuristic(cfg.warm_start_with_heuristic)
-            .warm_start_deployment(cfg.warm_start_deployment.clone())
-            .solver(cfg.solver.clone())
-            .build()
-            .solve()
-            .unwrap()
+        DeploymentSession::builder(problem.clone()).config(cfg.clone()).build().solve().unwrap()
     }
 
     #[test]
@@ -745,25 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_racing_matches_serial_on_proven_instances() {
-        let mut batch = BatchSession::new();
-        let problems: Vec<_> = (0..2).map(|s| Arc::new(small_instance(3, 30 + s as u64))).collect();
-        for p in &problems {
-            batch.add(Arc::clone(p), quick());
-        }
-        batch.set_portfolio(true);
-        let results = batch.solve_all();
-        for (p, r) in problems.iter().zip(&results) {
-            let got = r.as_ref().unwrap();
-            let want = serial_solve(p, &quick());
-            assert_eq!(got.outcome.status, want.status);
-            let (a, b) = (got.outcome.objective_mj.unwrap(), want.objective_mj.unwrap());
-            assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
-            assert!(got.seeded, "the heuristic arm must seed the exact arm");
-        }
-    }
-
-    #[test]
     fn linked_member_is_seeded_by_the_source_deployment() {
         let mut batch = BatchSession::new();
         let p = Arc::new(small_instance(3, 40));
@@ -782,6 +684,12 @@ mod tests {
             multi_out.outcome.objective_mj.unwrap()
                 <= single_out.outcome.objective_mj.unwrap() + 1e-9
         );
+        // The source solves without a feed, so it is memoized; the target
+        // solves with a live feed, so it neither replays nor publishes.
+        assert!(!single_out.from_cache, "the link source must be solved");
+        assert_eq!(batch.cache().misses(), 1, "only the link source claims a key");
+        assert!(!multi_out.from_cache, "a link target must not replay");
+        assert_eq!(batch.cache().len(), 1, "a link target must not publish");
     }
 
     #[test]

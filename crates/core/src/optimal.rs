@@ -60,7 +60,8 @@ pub struct OptimalOutcome {
     /// Branch-and-bound nodes processed.
     pub nodes: u64,
     /// Nodes processed by each solver worker thread (one entry under
-    /// `threads = 1`, empty when presolve answers without a search).
+    /// `threads = 1`; empty when an integer column's rounded bounds cross,
+    /// which proves the model infeasible before any search).
     pub nodes_per_thread: Vec<u64>,
     /// Wall-clock seconds spent in the solver.
     pub solve_seconds: f64,

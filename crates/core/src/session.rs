@@ -107,38 +107,42 @@ pub enum EventDisposition {
 #[derive(Debug, Clone)]
 pub struct DeploymentSessionBuilder {
     problem: ProblemInstance,
-    path_mode: PathMode,
-    objective: DeployObjective,
-    warm_start_with_heuristic: bool,
-    warm_start_deployment: Option<Deployment>,
-    solver: SolverOptions,
+    config: OptimalConfig,
     horizon_alpha: Option<f64>,
 }
 
 impl DeploymentSessionBuilder {
+    /// Every field of an [`OptimalConfig`] at once (default:
+    /// [`OptimalConfig::default()`]); the per-field setters below edit the
+    /// same configuration.
+    pub fn config(mut self, config: OptimalConfig) -> Self {
+        self.config = config;
+        self
+    }
+
     /// Routing flexibility (default: [`PathMode::Multi`]).
     pub fn path_mode(mut self, mode: PathMode) -> Self {
-        self.path_mode = mode;
+        self.config.path_mode = mode;
         self
     }
 
     /// BE or ME objective (default: BE).
     pub fn objective(mut self, objective: DeployObjective) -> Self {
-        self.objective = objective;
+        self.config.objective = objective;
         self
     }
 
     /// Seed branch and bound with the 3-phase heuristic when it is
     /// feasible (default: true).
     pub fn warm_start_with_heuristic(mut self, yes: bool) -> Self {
-        self.warm_start_with_heuristic = yes;
+        self.config.warm_start_with_heuristic = yes;
         self
     }
 
     /// An additional caller-provided warm start; the better of this and
     /// the heuristic seed is used.
     pub fn warm_start_deployment(mut self, d: Option<Deployment>) -> Self {
-        self.warm_start_deployment = d;
+        self.config.warm_start_deployment = d;
         self
     }
 
@@ -147,7 +151,7 @@ impl DeploymentSessionBuilder {
     /// forced off inside the session (carried solver state must stay
     /// aligned with the model's own columns).
     pub fn solver(mut self, solver: SolverOptions) -> Self {
-        self.solver = solver;
+        self.config.solver = solver;
         self
     }
 
@@ -163,11 +167,7 @@ impl DeploymentSessionBuilder {
     pub fn build(self) -> DeploymentSession {
         DeploymentSession {
             problem: self.problem,
-            path_mode: self.path_mode,
-            objective: self.objective,
-            warm_start_with_heuristic: self.warm_start_with_heuristic,
-            pending_warm: self.warm_start_deployment,
-            solver: self.solver,
+            config: self.config,
             horizon_alpha: self.horizon_alpha,
             faulted: BTreeSet::new(),
             encoding: None,
@@ -183,12 +183,11 @@ impl DeploymentSessionBuilder {
 /// See the [module docs](self) for the event semantics and an example.
 pub struct DeploymentSession {
     problem: ProblemInstance,
-    path_mode: PathMode,
-    objective: DeployObjective,
-    warm_start_with_heuristic: bool,
-    /// Caller-provided warm start, consumed by the first model build.
-    pending_warm: Option<Deployment>,
-    solver: SolverOptions,
+    /// Routing, objective, seeding and solver options. Its
+    /// `warm_start_deployment` is the pending warm start: the caller's,
+    /// consumed by the first model build, then the repaired or lifted
+    /// deployment a fault or arrival leaves for the next solve.
+    config: OptimalConfig,
     horizon_alpha: Option<f64>,
     /// Processors fixed out by fault events; re-applied on every rebuild.
     faulted: BTreeSet<usize>,
@@ -204,16 +203,7 @@ pub struct DeploymentSession {
 impl DeploymentSession {
     /// Starts a builder with the defaults of [`OptimalConfig`].
     pub fn builder(problem: ProblemInstance) -> DeploymentSessionBuilder {
-        let defaults = OptimalConfig::default();
-        DeploymentSessionBuilder {
-            problem,
-            path_mode: defaults.path_mode,
-            objective: defaults.objective,
-            warm_start_with_heuristic: defaults.warm_start_with_heuristic,
-            warm_start_deployment: None,
-            solver: defaults.solver,
-            horizon_alpha: None,
-        }
+        DeploymentSessionBuilder { problem, config: OptimalConfig::default(), horizon_alpha: None }
     }
 
     /// A session with all defaults (multi-path, BE, heuristic seeding).
@@ -243,7 +233,7 @@ impl DeploymentSession {
 
     /// The solver options used by the next solve.
     pub fn solver(&self) -> &SolverOptions {
-        &self.solver
+        &self.config.solver
     }
 
     /// Mutable access to the solver options (e.g. to attach a per-solve
@@ -252,7 +242,7 @@ impl DeploymentSession {
     /// off. Changing an answer tolerance here changes
     /// [`fingerprint`](DeploymentSession::fingerprint) accordingly.
     pub fn solver_mut(&mut self) -> &mut SolverOptions {
-        &mut self.solver
+        &mut self.config.solver
     }
 
     /// Runs the paper's 3-phase decomposition heuristic on the current
@@ -268,7 +258,7 @@ impl DeploymentSession {
     /// [`DeployError::HeuristicInfeasible`] when a phase cannot satisfy
     /// its constraints.
     pub fn heuristic(&self) -> Result<Deployment> {
-        heuristic_deployment(&self.problem, &self.solver.observer)
+        heuristic_deployment(&self.problem, &self.config.solver.observer)
     }
 
     /// The MILP encoding of the current problem (building it on first
@@ -312,7 +302,7 @@ impl DeploymentSession {
     pub fn fingerprint(&mut self) -> Result<u64> {
         self.ensure_model()?;
         let milp = self.milp.as_ref().expect("ensure_model built the session");
-        Ok(crate::fingerprint::model_fingerprint(milp.model(), &self.solver))
+        Ok(crate::fingerprint::model_fingerprint(milp.model(), &self.config.solver))
     }
 
     /// Absorbs a scenario event, mutating the problem and (when possible)
@@ -389,8 +379,8 @@ impl DeploymentSession {
                 // a repaired copy (displaced tasks re-homed, schedule
                 // rebuilt) is usually a much stronger seed than the
                 // fault-oblivious heuristic. Validated before use.
-                if self.pending_warm.is_none() {
-                    self.pending_warm = match &self.last {
+                if self.config.warm_start_deployment.is_none() {
+                    self.config.warm_start_deployment = match &self.last {
                         Some(d) => self.repair_after_fault(d),
                         None => None,
                     };
@@ -426,7 +416,7 @@ impl DeploymentSession {
         if working.is_empty() {
             return None;
         }
-        let score = |d: &Deployment| match self.objective {
+        let score = |d: &Deployment| match self.config.objective {
             DeployObjective::BalanceEnergy => d.energy_report(problem).max_mj(),
             DeployObjective::MinimizeTotalEnergy => d.energy_report(problem).total_mj(),
         };
@@ -525,8 +515,8 @@ impl DeploymentSession {
         // breaks a constraint.
         self.encoding = None;
         self.milp = None;
-        if self.pending_warm.is_none() {
-            self.pending_warm = prev.and_then(|d| self.lift_after_arrival(&d));
+        if self.config.warm_start_deployment.is_none() {
+            self.config.warm_start_deployment = prev.and_then(|d| self.lift_after_arrival(&d));
         }
         Ok(EventDisposition::Rebuilt)
     }
@@ -591,7 +581,7 @@ impl DeploymentSession {
                 cands.push(c);
             }
         }
-        best_warm_candidate(problem, self.objective, cands)
+        best_warm_candidate(problem, self.config.objective, cands)
     }
 
     /// Builds the encoding and the incremental MILP session on first use
@@ -601,20 +591,21 @@ impl DeploymentSession {
         if self.milp.is_some() {
             return Ok(());
         }
-        let mut enc = MilpEncoding::build(&self.problem, self.path_mode, self.objective)?;
+        let mut enc =
+            MilpEncoding::build(&self.problem, self.config.path_mode, self.config.objective)?;
         let mut candidates: Vec<Deployment> = Vec::new();
-        if self.warm_start_with_heuristic {
+        if self.config.warm_start_with_heuristic {
             if let Ok(h) = self.heuristic() {
                 candidates.push(h);
             }
         }
-        if let Some(d) = self.pending_warm.take() {
+        if let Some(d) = self.config.warm_start_deployment.take() {
             candidates.push(d);
         }
         if let Some(d) = &self.last {
             candidates.push(d.clone());
         }
-        if let Some(d) = best_warm_candidate(&self.problem, self.objective, candidates) {
+        if let Some(d) = best_warm_candidate(&self.problem, self.config.objective, candidates) {
             let vals = enc.warm_start_values(&self.problem, &d);
             enc.model.set_warm_start(vals).map_err(DeployError::Solver)?;
         }
@@ -624,7 +615,7 @@ impl DeploymentSession {
                 model.set_bounds(enc.x_var(i, k), 0.0, 0.0).map_err(DeployError::Solver)?;
             }
         }
-        self.milp = Some(ResolveSession::new(model, self.solver.clone()));
+        self.milp = Some(ResolveSession::new(model, self.config.solver.clone()));
         self.encoding = Some(enc);
         Ok(())
     }
@@ -641,12 +632,12 @@ impl DeploymentSession {
     /// anyway).
     fn refresh_warm_start(&mut self) -> Result<()> {
         let mut candidates: Vec<Deployment> = Vec::new();
-        if self.warm_start_with_heuristic {
+        if self.config.warm_start_with_heuristic {
             if let Ok(h) = self.heuristic() {
                 candidates.push(h);
             }
         }
-        if let Some(d) = self.pending_warm.take() {
+        if let Some(d) = self.config.warm_start_deployment.take() {
             candidates.push(d);
         }
         if let Some(d) = &self.last {
@@ -658,7 +649,7 @@ impl DeploymentSession {
                 .enumerate()
                 .any(|(i, p)| d.active[i] && self.faulted.contains(&p.index()))
         });
-        if let Some(d) = best_warm_candidate(&self.problem, self.objective, candidates) {
+        if let Some(d) = best_warm_candidate(&self.problem, self.config.objective, candidates) {
             let enc = self.encoding.as_ref().expect("model built before refresh");
             let vals = enc.warm_start_values(&self.problem, &d);
             let milp = self.milp.as_mut().expect("model built before refresh");
@@ -675,12 +666,12 @@ impl DeploymentSession {
             self.refresh_warm_start()?;
         }
         if let Some(budget) = budget_seconds {
-            self.solver.time_limit = budget;
+            self.config.solver.time_limit = budget;
         }
         let milp = self.milp.as_mut().expect("ensure_model built the session");
-        // `self.solver` is the single source of truth: re-sync so edits via
+        // `self.config.solver` is the single source of truth: re-sync so edits via
         // `solver_mut` (and the `resolve` budget) reach the MILP session.
-        *milp.options_mut() = self.solver.clone();
+        *milp.options_mut() = self.config.solver.clone();
         let sol = milp.solve().map_err(DeployError::Solver)?;
         let enc = self.encoding.as_ref().expect("ensure_model built the encoding");
         let deployment =

@@ -148,24 +148,6 @@ pub(crate) struct NodeWorker<'a> {
     xbuf: Vec<f64>,
     /// Scratch for the rounding heuristic's candidate point.
     round_buf: Vec<f64>,
-    /// In-tree cover separation is armed for this worker (serial search
-    /// with `SolverOptions::cut_node_interval > 0`); parallel workers keep
-    /// it off because appended rows are worker-local.
-    tree_cuts: bool,
-    /// Pool for the worker's in-tree cuts (dedup/scoring only — in-tree
-    /// cuts stay in this worker's LP for the rest of its search).
-    tree_pool: crate::cuts::CutPool,
-    /// Root box per structural column (cover separation needs the global
-    /// bounds of non-binary terms).
-    cut_bounds: Vec<(f64, f64)>,
-    /// Binary columns under the root box (cover cut candidates).
-    binary: Vec<bool>,
-    /// In-tree candidate cuts generated by this worker.
-    pub(crate) cuts_generated: u64,
-    /// In-tree cuts appended to this worker's LP.
-    pub(crate) cuts_applied: u64,
-    /// Seconds this worker spent separating in-tree cuts.
-    pub(crate) separation_seconds: f64,
     /// Node-level bound propagation is armed
     /// ([`SolverOptions::propagation`] with integer columns present).
     propagate_on: bool,
@@ -209,25 +191,6 @@ enum ProbeResult {
     Fathomed { bound: f64 },
 }
 
-/// Ceiling on in-tree cuts one worker may append to its LP: every row is
-/// priced on every later node of this worker, so unbounded growth would
-/// trade node count for per-node cost.
-const MAX_TREE_CUTS: usize = 200;
-
-/// Outcome of one in-tree separation round.
-enum TreeCutResult {
-    /// No violated cut survived the pool — continue with the current point.
-    NoCuts,
-    /// Cuts appended and the LP re-optimized to the new (tighter) bound;
-    /// the caller's primal vector has been refreshed.
-    Resolved(f64),
-    /// The LP went infeasible over globally valid cuts: the node carries no
-    /// integer point and fathoms.
-    Fathomed,
-    /// Deadline/cancel/numerics during the re-solve (limit semantics).
-    Unsolved,
-}
-
 impl<'a> NodeWorker<'a> {
     pub(crate) fn new(
         model: &'a Model,
@@ -236,7 +199,6 @@ impl<'a> NodeWorker<'a> {
         int_cols: &'a [usize],
         root_bounds: &[(f64, f64)],
         start: Instant,
-        allow_tree_cuts: bool,
     ) -> Self {
         let mut lp = Simplex::new(sf, options);
         if options.time_limit.is_finite() {
@@ -249,20 +211,11 @@ impl<'a> NodeWorker<'a> {
             lp.set_bounds(j, l, u);
         }
         lp.refresh();
-        let tree_cuts = allow_tree_cuts
-            && options.cuts
-            && options.cut_node_interval > 0
-            && !int_cols.is_empty();
         let mut is_int = vec![false; model.num_vars()];
         for &j in int_cols {
             is_int[j] = true;
         }
         let propagate_on = options.propagation && !int_cols.is_empty();
-        let binary = if tree_cuts {
-            (0..model.num_vars()).map(|j| is_int[j] && root_bounds[j] == (0.0, 1.0)).collect()
-        } else {
-            Vec::new()
-        };
         NodeWorker {
             model,
             sf,
@@ -281,13 +234,6 @@ impl<'a> NodeWorker<'a> {
             cold_starts: 0,
             xbuf: Vec::new(),
             round_buf: Vec::new(),
-            tree_cuts,
-            tree_pool: crate::cuts::CutPool::new(),
-            cut_bounds: if tree_cuts { root_bounds.to_vec() } else { Vec::new() },
-            binary,
-            cuts_generated: 0,
-            cuts_applied: 0,
-            separation_seconds: 0.0,
             propagate_on,
             int_mask: is_int,
             prop_lb: Vec::new(),
@@ -553,7 +499,7 @@ impl<'a> NodeWorker<'a> {
         // root) is also valid for this subproblem, so keep the tighter of
         // the two — this is what lets a carried bound prune the whole tree
         // once the incumbent reaches the previous optimum.
-        let mut bound = (self.lp.objective() - self.lp.bound_margin()).max(node.bound);
+        let bound = (self.lp.objective() - self.lp.bound_margin()).max(node.bound);
         self.emit_node(node, bound, pivots);
         self.record_pseudocost(node, bound);
         if gap_closed(self.options, incumbent.best_obj(), bound) {
@@ -561,27 +507,6 @@ impl<'a> NodeWorker<'a> {
         }
         let mut full = std::mem::take(&mut self.xbuf);
         self.lp.values_into(&mut full);
-        if self.tree_cuts_due(node) {
-            match self.separate_in_tree(&mut full)? {
-                TreeCutResult::NoCuts => {}
-                TreeCutResult::Resolved(b) => {
-                    bound = b.max(bound);
-                    if gap_closed(self.options, incumbent.best_obj(), bound) {
-                        self.xbuf = full;
-                        return Ok((vec![], bound));
-                    }
-                }
-                TreeCutResult::Fathomed => {
-                    self.xbuf = full;
-                    return Ok((vec![], f64::INFINITY));
-                }
-                TreeCutResult::Unsolved => {
-                    self.hit_limit = true;
-                    self.xbuf = full;
-                    return Ok((vec![], node.bound));
-                }
-            }
-        }
         let result = self.branch_or_fathom(node, incumbent, &full, bound);
         self.xbuf = full;
         result
@@ -660,55 +585,6 @@ impl<'a> NodeWorker<'a> {
             });
         }
         fathomed
-    }
-
-    /// Whether this node is an in-tree separation point: the serial search
-    /// separates cover cuts every [`SolverOptions::cut_node_interval`]
-    /// depths (never at the root, whose cuts the root loop already owns).
-    fn tree_cuts_due(&self, node: &OpenNode) -> bool {
-        self.tree_cuts
-            && !node.deltas.is_empty()
-            && node.deltas.len().is_multiple_of(self.options.cut_node_interval)
-            && self.tree_pool.installed() < MAX_TREE_CUTS
-    }
-
-    /// One round of in-tree cover separation at the node optimum held in
-    /// `full`. Appended cuts are globally valid, so they stay in this
-    /// worker's LP for the rest of its search; on `Resolved` the re-solved
-    /// primal vector replaces `full`.
-    fn separate_in_tree(&mut self, full: &mut Vec<f64>) -> Result<TreeCutResult> {
-        let t0 = Instant::now();
-        let x = &full[..self.model.num_vars()];
-        let params = crate::cuts::cover::CoverParams { min_violation: 1e-4 };
-        let mut cands = Vec::new();
-        crate::cuts::cover::separate(
-            self.model,
-            &self.cut_bounds,
-            &self.binary,
-            x,
-            &params,
-            &mut cands,
-        );
-        self.cuts_generated += cands.len() as u64;
-        let chosen = self.tree_pool.select(cands, x);
-        self.separation_seconds += t0.elapsed().as_secs_f64();
-        if chosen.is_empty() {
-            return Ok(TreeCutResult::NoCuts);
-        }
-        if self.lp.append_cut_rows(&chosen).is_err() {
-            // The extended basis would not refactorize: fall back to the
-            // slack basis over the grown form (always factorizable).
-            self.lp.reset_to_slack_basis();
-        }
-        self.cuts_applied += chosen.len() as u64;
-        match self.solve_node_lp()? {
-            None => Ok(TreeCutResult::Unsolved),
-            Some(LpStatus::Infeasible) => Ok(TreeCutResult::Fathomed),
-            Some(LpStatus::Optimal) => {
-                self.lp.values_into(full);
-                Ok(TreeCutResult::Resolved(self.lp.objective() - self.lp.bound_margin()))
-            }
-        }
     }
 
     /// Ceiling on columns probed by one reliability pass; the rest of the
@@ -1011,12 +887,6 @@ pub(crate) struct SearchOutcome {
     pub(crate) warm_starts: u64,
     /// Node LPs started from the slack basis, summed over workers.
     pub(crate) cold_starts: u64,
-    /// In-tree candidate cuts generated (0 for parallel runs).
-    pub(crate) cuts_generated: u64,
-    /// In-tree cuts appended to a worker LP (0 for parallel runs).
-    pub(crate) cuts_applied: u64,
-    /// Seconds separating in-tree cuts, summed over workers.
-    pub(crate) separation_seconds: f64,
     /// Individual bounds tightened by node propagation, summed over workers.
     pub(crate) propagated_bounds: u64,
     /// Nodes fathomed by propagation without an LP solve.
@@ -1359,8 +1229,8 @@ pub(crate) fn solve_on_form(
             threads,
             root_bound,
         )?;
-        // Parallel workers keep their bases and in-tree cuts private; the
-        // session carries the shared root form (with its root cuts) cold.
+        // Parallel workers keep their bases private; the session carries
+        // the shared root form (with its root cuts) cold.
         if let Some(cap) = capture {
             let bound = if out.hit_limit { out.best_bound_internal } else { out.incumbent_obj };
             *cap = Some(ResumeState { sf: sf.clone(), basis: None, bound });
@@ -1432,10 +1302,10 @@ pub(crate) fn solve_on_form(
             steals: outcome.steals,
             warm_starts: outcome.warm_starts,
             cold_starts: outcome.cold_starts,
-            cuts_generated: cut_stats.generated + outcome.cuts_generated,
-            cuts_applied: cut_stats.applied + outcome.cuts_applied,
+            cuts_generated: cut_stats.generated,
+            cuts_applied: cut_stats.applied,
             cuts_aged_out: cut_stats.aged_out,
-            separation_seconds: cut_stats.separation_seconds + outcome.separation_seconds,
+            separation_seconds: cut_stats.separation_seconds,
             heuristic_seconds: heur.seconds,
             propagation_seconds: outcome.propagation_seconds,
             heuristic_incumbents: heur.accepted,
@@ -1489,7 +1359,7 @@ fn serial_search(
     root_bound: f64,
     capture: Option<&mut Option<ResumeState>>,
 ) -> Result<SearchOutcome> {
-    let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, start, true);
+    let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, start);
     let mut incumbent = LocalIncumbent::from_warm(warm);
 
     // A carried basis enters through the root node: `enter_node` restores
@@ -1503,9 +1373,9 @@ fn serial_search(
         NodeOrder::BestBound => run_best_bound(&mut worker, &mut incumbent, root_bounds, root)?,
     };
 
-    // Capture the worker's final form (base + root cuts + every in-tree
-    // cut it appended; structural bounds untouched because
-    // `set_bounds` edits only the working copies) and its last basis.
+    // Capture the worker's final form (base + root cuts; structural bounds
+    // untouched because `set_bounds` edits only the working copies) and its
+    // last basis.
     if let Some(cap) = capture {
         let bound = if worker.hit_limit { best_bound_internal } else { incumbent.obj };
         *cap = Some(ResumeState {
@@ -1534,9 +1404,6 @@ fn serial_search(
         refactorizations: worker.lp.refactorizations,
         warm_starts: worker.warm_starts,
         cold_starts: worker.cold_starts,
-        cuts_generated: worker.cuts_generated,
-        cuts_applied: worker.cuts_applied,
-        separation_seconds: worker.separation_seconds,
         propagated_bounds: worker.propagated_bounds,
         propagation_fathoms: worker.propagation_fathoms,
         propagation_seconds: worker.propagation_seconds,
@@ -1628,8 +1495,8 @@ fn run_dfs(
         if options.cancelled() {
             worker.interrupted = true;
         }
-        // Same cadence as the cancel check: a point published by a racing
-        // portfolio arm lands before this node is bounded or evaluated.
+        // Same cadence as the cancel check: a point published by a linked
+        // batch member lands before this node is bounded or evaluated.
         poll_feed(worker, &mut feed_cursor, incumbent, node.bound);
         if worker.interrupted || worker.time_up() || node_limit_hit(options, worker.nodes) {
             worker.hit_limit = true;
@@ -1773,8 +1640,7 @@ mod tests {
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|j| (sf.lb[j].ceil(), sf.ub[j].floor())).collect();
         let start = Instant::now();
-        let mut worker =
-            NodeWorker::new(&model, &sf, &options, &int_cols, &root_bounds, start, false);
+        let mut worker = NodeWorker::new(&model, &sf, &options, &int_cols, &root_bounds, start);
         let mut inc = LocalIncumbent::from_warm(None);
 
         // Solve the root properly so the worker is mid-search state.
@@ -1820,8 +1686,7 @@ mod tests {
         let root_bounds: Vec<(f64, f64)> =
             (0..model.num_vars()).map(|j| (sf.lb[j].ceil(), sf.ub[j].floor())).collect();
         let start = Instant::now();
-        let mut worker =
-            NodeWorker::new(&model, &sf, &options, &int_cols, &root_bounds, start, false);
+        let mut worker = NodeWorker::new(&model, &sf, &options, &int_cols, &root_bounds, start);
         let mut inc = LocalIncumbent::from_warm(None);
 
         let root = OpenNode::root(f64::NEG_INFINITY);

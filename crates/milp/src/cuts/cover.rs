@@ -8,9 +8,9 @@
 //! the extended cover `E(C) = C ∪ {j : w_j ≥ max_{i∈C} w_i}`, giving
 //! `Σ_{j∈E(C)} z_j ≤ |C| − 1`, which is then un-complemented back to the
 //! original binaries. Cover cuts depend only on the model rows and global
-//! bounds, so they are globally valid — usable in-tree at any node.
+//! bounds, so they are globally valid.
 
-use crate::cuts::{Cut, CutFamily, CutSense, CutValidity};
+use crate::cuts::{Cut, CutFamily, CutSense};
 use crate::model::{ConstraintSense, Model};
 use crate::standard::INFINITE_BOUND;
 
@@ -183,11 +183,5 @@ fn try_row(
         }
     }
     coeffs.sort_unstable_by_key(|&(j, _)| j);
-    out.push(Cut {
-        coeffs,
-        rhs: rhs_out,
-        sense: CutSense::Le,
-        family: CutFamily::Cover,
-        validity: CutValidity::Global,
-    });
+    out.push(Cut { coeffs, rhs: rhs_out, sense: CutSense::Le, family: CutFamily::Cover });
 }

@@ -14,7 +14,7 @@
 //! coefficients are dropped only with a conservative right-hand-side
 //! relaxation over the root box (never an unsound strengthening).
 
-use crate::cuts::{Cut, CutFamily, CutSense, CutValidity};
+use crate::cuts::{Cut, CutFamily, CutSense};
 use crate::simplex::{Simplex, Stat};
 
 /// Tuning knobs of the GMI separator.
@@ -215,13 +215,7 @@ fn derive(
     if max_abs / min_abs > params.max_dynamism {
         return None;
     }
-    let cut = Cut {
-        coeffs,
-        rhs,
-        sense: CutSense::Ge,
-        family: CutFamily::Gomory,
-        validity: CutValidity::Global,
-    };
+    let cut = Cut { coeffs, rhs, sense: CutSense::Ge, family: CutFamily::Gomory };
     let norm = cut.norm();
     if cut.violation(x) < params.min_violation * norm.max(1.0) {
         return None;

@@ -33,9 +33,9 @@
 //! [`root_separation`] drives the root loop: separate → select → append →
 //! re-optimize, with tailing-off detection on bound improvement. Cuts that
 //! survive age-out are installed into the *shared* base form, so every
-//! search worker (serial or parallel) prices them. In-tree separation
-//! (cover cuts only — they are globally valid independent of node bounds)
-//! is handled by the node worker in [`crate::branch`].
+//! search worker (serial or parallel) prices them. Both separators derive
+//! their cuts from the model rows and the root box, so every installed cut
+//! is valid at every node of the tree.
 //!
 //! Determinism: all orderings are stable with index tiebreaks and no
 //! timestamps enter any decision, so serial `threads = 1` runs stay
@@ -72,23 +72,8 @@ pub(crate) enum CutFamily {
     Cover,
 }
 
-/// Where a cut is valid. Cover cuts derive from the model rows and global
-/// bounds, so they hold everywhere; Gomory cuts derive from the bounds
-/// active at separation time, so only root-derived ones are global. The
-/// pool refuses to install node-local cuts into a shared form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CutValidity {
-    /// Valid for every integer-feasible point of the model.
-    Global,
-    /// Valid only under the bounds of the node that produced it. No current
-    /// separator emits these (Gomory cuts are derived at the root box), but
-    /// the installer's validity assert guards the invariant for future
-    /// separators.
-    #[allow(dead_code)]
-    NodeLocal,
-}
-
-/// One cutting plane over structural columns.
+/// One cutting plane over structural columns, valid for every
+/// integer-feasible point of the model.
 #[derive(Debug, Clone)]
 pub(crate) struct Cut {
     /// `(column, coefficient)` nonzeros, sorted by column.
@@ -100,8 +85,6 @@ pub(crate) struct Cut {
     /// Producing separator (diagnostics; read by tests and assertions).
     #[allow(dead_code)]
     pub family: CutFamily,
-    /// Validity scope.
-    pub validity: CutValidity,
 }
 
 impl Cut {
@@ -271,7 +254,6 @@ pub(crate) fn root_separation(
         stats.aged_out = aged_out;
         stats.applied = kept.len() as u64;
         for cut in &kept {
-            debug_assert_eq!(cut.validity, CutValidity::Global);
             let (sl, su) = match cut.sense {
                 CutSense::Le => (0.0, INFINITE_BOUND),
                 CutSense::Ge => (-INFINITE_BOUND, 0.0),

@@ -49,11 +49,6 @@ impl CutPool {
         CutPool::default()
     }
 
-    /// Number of cuts installed so far.
-    pub fn installed(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Scores, deduplicates and filters `cands` against the pool and each
     /// other, installs the survivors, and returns them in installation
     /// order (the caller appends them to the LP in exactly this order).
@@ -204,10 +199,10 @@ pub(crate) fn support_hash(cut: &Cut) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cuts::{CutFamily, CutValidity};
+    use crate::cuts::CutFamily;
 
     fn cut(coeffs: Vec<(usize, f64)>, rhs: f64, sense: CutSense) -> Cut {
-        Cut { coeffs, rhs, sense, family: CutFamily::Cover, validity: CutValidity::Global }
+        Cut { coeffs, rhs, sense, family: CutFamily::Cover }
     }
 
     #[test]
@@ -222,7 +217,8 @@ mod tests {
         assert!(pool.select(vec![a], &x).is_empty(), "exact duplicate accepted");
         assert!(pool.select(vec![scaled], &x).is_empty(), "scaled duplicate accepted");
         assert!(pool.select(vec![negated], &x).is_empty(), "sense-flipped duplicate accepted");
-        assert_eq!(pool.installed(), 1);
+        let (kept, aged_out) = pool.drain_fresh();
+        assert_eq!((kept.len(), aged_out), (got.len(), 0), "the pool holds the one selection");
     }
 
     #[cfg(debug_assertions)]

@@ -361,9 +361,9 @@ struct FeedSlot {
 /// internally to translate a feed into a presolve-reduced column space).
 type FeedMap = dyn Fn(&[f64]) -> Option<Vec<f64>> + Send + Sync;
 
-/// A shared slot through which an external producer — a racing portfolio
-/// arm, a heuristic, or another solve — injects feasible points into a
-/// *running* solve.
+/// A shared slot through which an external producer — a linked batch
+/// member's source, a heuristic, or another solve — injects feasible points
+/// into a *running* solve.
 ///
 /// Register a clone through
 /// [`SolverOptions::incumbent_feed`](crate::SolverOptions::incumbent_feed)

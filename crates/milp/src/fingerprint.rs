@@ -198,14 +198,13 @@ mod tests {
     /// an encoding must show up here, not as a silent key shift.
     #[test]
     fn fingerprints_are_pinned_on_fixed_inputs() {
-        use crate::cuts::{Cut, CutFamily, CutSense, CutValidity};
+        use crate::cuts::{Cut, CutFamily, CutSense};
         assert_eq!(knapsack("m").0.fingerprint(), 406_158_733_299_057_963);
         let cut = Cut {
             coeffs: vec![(0, 2.0), (3, -1.5), (7, 0.25)],
             rhs: 1.0,
             sense: CutSense::Le,
             family: CutFamily::Cover,
-            validity: CutValidity::Global,
         };
         assert_eq!(crate::cuts::pool::support_hash(&cut), 3_916_812_769_144_257_218);
     }

@@ -119,10 +119,9 @@ pub struct SolverOptions {
     /// and reproduces its node ordering bit-for-bit; `≥ 2` explores the tree
     /// with a work-stealing node pool (same optima, different node order).
     pub threads: usize,
-    /// Master switch of the cutting-plane engine (root separation loop and,
-    /// when [`SolverOptions::cut_node_interval`] is set, in-tree rounds).
-    /// The root separates Gomory mixed-integer and knapsack cover cuts for
-    /// up to 10 rounds; in-tree rounds separate cover cuts only.
+    /// Master switch of the cutting-plane engine: the root separates Gomory
+    /// mixed-integer and knapsack cover cuts for up to 10 rounds before the
+    /// tree search starts.
     ///
     /// Off by default. Cuts pay under [`BranchRule::MostFractional`], whose
     /// trees they shrink; the figure harness pins them on with that rule.
@@ -131,13 +130,6 @@ pub struct SolverOptions {
     /// every later pivot, refactorization and probe dearer, so deployment
     /// proofs and re-solves take about twice as long with cuts as without.
     pub cuts: bool,
-    /// In-tree separation interval: every `k`-th depth of the serial search
-    /// separates cover cuts at the node relaxation. `0` (default) disables
-    /// in-tree rounds (root cuts only). Does nothing unless
-    /// [`SolverOptions::cuts`] is on. Ignored under `threads ≥ 2` —
-    /// appended rows are worker-local and would break snapshot sharing
-    /// economics, so parallel workers search with root cuts only.
-    pub cut_node_interval: usize,
     /// Master switch of the root primal heuristic (relaxation-guided
     /// diving). It runs after root separation and before the tree search,
     /// seeding the incumbent so pruning bites from the first node.
@@ -157,8 +149,9 @@ pub struct SolverOptions {
     /// [`SolverOptions::cancel_token`].
     pub cancel: Option<CancelToken>,
     /// External incumbent feed polled at node boundaries: feasible points
-    /// published by a racing portfolio arm are installed as incumbents
-    /// mid-solve; unset by default. See [`SolverOptions::incumbent_feed`].
+    /// published by another solve, such as a linked batch member's source,
+    /// are installed as incumbents mid-solve; unset by default. See
+    /// [`SolverOptions::incumbent_feed`].
     pub incumbent_feed: Option<IncumbentFeed>,
 }
 
@@ -179,7 +172,6 @@ impl Default for SolverOptions {
             presolve: true,
             threads: 0,
             cuts: false,
-            cut_node_interval: 0,
             heuristics: true,
             propagation: true,
             observer: ObserverHandle::none(),
@@ -258,8 +250,8 @@ impl SolverOptions {
 
     /// Registers an [`IncumbentFeed`], builder-style. Keep a clone and
     /// [`publish`](IncumbentFeed::publish) feasible points from any thread
-    /// — a racing heuristic arm, another solve of a portfolio — and the
-    /// search installs improving ones as incumbents at its next node
+    /// — another solve of the same model, such as a linked batch member's
+    /// source — and the search installs improving ones as incumbents at its next node
     /// boundary. Infeasible or non-improving points are silently dropped,
     /// so feeding never changes the optimum, only how fast it is proven.
     pub fn incumbent_feed(mut self, feed: IncumbentFeed) -> Self {
@@ -295,13 +287,6 @@ impl SolverOptions {
     /// Enables or disables the cutting-plane engine, builder-style.
     pub fn cuts(mut self, on: bool) -> Self {
         self.cuts = on;
-        self
-    }
-
-    /// Sets the in-tree separation interval (`0` = root only),
-    /// builder-style.
-    pub fn cut_node_interval(mut self, every_k_depths: usize) -> Self {
-        self.cut_node_interval = every_k_depths;
         self
     }
 
@@ -355,10 +340,8 @@ mod tests {
     fn cuts_default_off_with_root_only_separation() {
         let o = SolverOptions::default();
         assert!(!o.cuts, "the cut engine is opt-in");
-        assert_eq!(o.cut_node_interval, 0, "in-tree rounds are opt-in");
-        let o = o.cuts(true).cut_node_interval(4);
+        let o = o.cuts(true);
         assert!(o.cuts);
-        assert_eq!(o.cut_node_interval, 4);
     }
 
     #[test]

@@ -406,12 +406,6 @@ pub(crate) fn search(
         refactorizations: per_worker.iter().map(|w| w.refactorizations).sum(),
         warm_starts: per_worker.iter().map(|w| w.warm_starts).sum(),
         cold_starts: per_worker.iter().map(|w| w.cold_starts).sum(),
-        // In-tree separation is serial-only (worker-local rows would skew
-        // snapshot sharing); parallel workers
-        // search with root cuts only.
-        cuts_generated: 0,
-        cuts_applied: 0,
-        separation_seconds: 0.0,
         propagated_bounds: per_worker.iter().map(|w| w.propagated_bounds).sum(),
         propagation_fathoms: per_worker.iter().map(|w| w.propagation_fathoms).sum(),
         propagation_seconds: per_worker.iter().map(|w| w.propagation_seconds).sum(),
@@ -446,7 +440,7 @@ fn worker_loop(shared: &SearchShared, id: usize, local: Option<Deque<OpenNode>>)
     let SearchShared { model, sf, options, int_cols, root_bounds, start, pool, control, .. } =
         shared;
     let incumbent = &shared.incumbent;
-    let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, *start, false);
+    let mut worker = NodeWorker::new(model, sf, options, int_cols, root_bounds, *start);
     let mut handle = SharedHandle(incumbent);
     let local = local.as_ref();
     let mut steals: u64 = 0;

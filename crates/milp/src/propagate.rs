@@ -7,8 +7,8 @@
 //! row activity is confined to `a·x ∈ [b − su, b − sl]`, and each integer
 //! column's bound is tightened against the residual activity of the other
 //! columns. Because the constraint is kept two-sided through the slack
-//! bounds, the same loop covers the original model rows *and* any cut rows
-//! appended to the worker LP (root cuts and in-tree covers).
+//! bounds, the same loop covers the original model rows *and* the root cut
+//! rows installed into the worker LP's form.
 //!
 //! Soundness: interval tightening never removes a point that satisfies the
 //! rows and lies inside the input box, so every integer-feasible point of

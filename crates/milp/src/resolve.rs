@@ -4,7 +4,7 @@
 //! A session owns a [`Model`] and carries three artifacts across solves:
 //!
 //! 1. the **standard form** the last search ended on — the base rows plus
-//!    every cutting plane separated at the root and in the tree,
+//!    every cutting plane the root separated,
 //! 2. the serial worker's final **basis** (when the search ran on one
 //!    thread), and
 //! 3. the last solve's proven **dual bound**, which seeds the next root

@@ -809,9 +809,10 @@ impl Simplex {
     /// kernel stale) and the caller must immediately
     /// [`Simplex::reset_to_slack_basis`].
     ///
-    /// A snapshot captured *before* cut rows were appended (in-tree
-    /// separation grows the LP monotonically) is padded: every missing
-    /// trailing cut row keeps its own slack basic, giving the block
+    /// A snapshot captured *before* rows were appended — a resumed
+    /// [`crate::ResolveSession`] carries its basis across a restriction
+    /// delta whose `AddRow` appends a row to the carried form — is padded:
+    /// every missing trailing row keeps its own slack basic, giving the block
     /// lower-triangular basis `[[B_snap, 0], [C, I]]`, nonsingular whenever
     /// the snapshot basis is. The snapshot's rows keep their weights, which
     /// that basis leaves exact, and each padded row gets its exact norm.
@@ -1556,7 +1557,6 @@ mod tests {
                 rhs: 3.5,
                 sense: crate::cuts::CutSense::Ge,
                 family: crate::cuts::CutFamily::Cover,
-                validity: crate::cuts::CutValidity::Global,
             };
             s.append_cut_rows(std::slice::from_ref(&cut)).unwrap();
             assert_eq!(s.optimize().unwrap(), LpStatus::Optimal);
@@ -1701,7 +1701,6 @@ mod tests {
                 rhs: s.value(a) + s.value(b) - 0.5,
                 sense: crate::cuts::CutSense::Le,
                 family: crate::cuts::CutFamily::Cover,
-                validity: crate::cuts::CutValidity::Global,
             })
             .collect()
     }

@@ -83,8 +83,8 @@ pub struct SolveStats {
     pub cold_starts: u64,
     /// Candidate cuts the separators produced (before pool filtering).
     pub cuts_generated: u64,
-    /// Cuts accepted by the pool and appended to an LP (root rounds plus
-    /// in-tree rounds).
+    /// Root cuts that survived the pool's age-out and were installed into
+    /// the shared base form.
     pub cuts_applied: u64,
     /// Root cuts dropped by the pool's slack-based age-out before the
     /// search started (never installed into the shared base form).

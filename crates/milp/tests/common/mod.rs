@@ -276,7 +276,7 @@ pub fn recording_observer() -> (Arc<Mutex<Vec<SolverEvent>>>, Arc<dyn Observer>)
 /// row's weight sum, maximizing profits that hug the first row's weights.
 /// The root cut loop closes nearly every [`random_milp`] case, so the
 /// cut-engine checks draw these too: about a quarter of them still branch
-/// under root cuts and apply in-tree cuts.
+/// under root cuts.
 pub fn random_knapsack() -> impl Strategy<Value = RandomMilp> {
     (6usize..=12, 1usize..=2).prop_flat_map(|(n, m)| {
         let weights = proptest::collection::vec(proptest::collection::vec(3i32..=15, n), m);

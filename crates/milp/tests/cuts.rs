@@ -1,14 +1,14 @@
 //! Cutting-plane end-to-end correctness and effectiveness.
 //!
 //! Cuts may only ever shrink the tree, never change the answer. The
-//! enumeration checks cross-check cuts-off, root-only cuts and root+in-tree
-//! cuts against exhaustive enumeration on random binary MILPs and random
-//! knapsacks ([`common::cut_cases`]), under the default options and again
-//! under [`bare`], and fail unless enough knapsack cases reach the tree and
-//! its cut rounds; the fixed tests pin that cuts actually reduce node
-//! counts on a structured knapsack and that the cut statistics stay
-//! internally consistent. Root cuts are opt-in ([`SolverOptions::cuts`]),
-//! so every cut arm switches them on.
+//! enumeration checks cross-check cuts-off and root cuts against exhaustive
+//! enumeration on random binary MILPs and random knapsacks
+//! ([`common::cut_cases`]), under the default options and again under
+//! [`bare`], and fail unless enough knapsack cases reach the tree; the
+//! fixed tests pin that cuts actually reduce node counts on a structured
+//! knapsack and that the cut statistics stay internally consistent. Root
+//! cuts are opt-in ([`SolverOptions::cuts`]), so every cut arm switches
+//! them on.
 
 mod common;
 
@@ -29,17 +29,16 @@ fn bare() -> SolverOptions {
     SolverOptions::default().presolve(false).heuristics(false)
 }
 
-/// Cuts off, root cuts only, and root + in-tree cuts (separating at every
-/// depth) must all agree with exhaustive enumeration — a cut that removed
-/// an integer point would change the status or optimum of some instance
-/// here with high probability. The root loop closes every random-MILP case
-/// at the root, so the check fails unless, in the [`bare`] pass, at least a
-/// tenth of the knapsack cases explore three or more nodes under root cuts
-/// (37 of these 150 do) and at least a tenth apply an in-tree cut (31 do).
+/// Cuts off and root cuts must both agree with exhaustive enumeration — a
+/// cut that removed an integer point would change the status or optimum of
+/// some instance here with high probability. The root loop closes every
+/// random-MILP case at the root, so the check fails unless, in the
+/// [`bare`] pass, at least a tenth of the knapsack cases explore three or
+/// more nodes under root cuts (37 of these 150 do).
 #[test]
 fn cut_configurations_match_enumeration() {
     let cases = cut_cases("cuts::cut_configurations_match_enumeration", CASES);
-    let (mut branching, mut tree_cutting) = (0, 0);
+    let mut branching = 0;
     for (case, milp) in cases.iter().enumerate() {
         let truth = common::brute_force(milp);
         let m = build(milp);
@@ -54,26 +53,20 @@ fn cut_configurations_match_enumeration() {
                 sol
             };
             solve("cuts-off", base.clone().cuts(false));
-            let root = solve("root-cuts", base.clone().cuts(true));
-            let tree = solve("tree-cuts", base.cuts(true).cut_node_interval(1));
+            let root = solve("root-cuts", base.cuts(true));
             if is_bare && case >= CASES {
                 branching += usize::from(root.node_count() >= 3);
-                // The root loop does not read the interval, so every cut
-                // beyond the root-only arm's was applied in the tree.
-                tree_cutting += usize::from(tree.stats().cuts_applied > root.stats().cuts_applied);
             }
         }
     }
     assert!(10 * branching >= CASES, "only {branching} of {CASES} knapsacks explored three nodes");
-    assert!(10 * tree_cutting >= CASES, "only {tree_cutting} of {CASES} knapsacks cut in the tree");
 }
 
-/// Parallel solves search with root cuts installed (in-tree separation is
-/// serial-only, so the interval is ignored); the answer must still match
-/// enumeration, under the default options and again under [`bare`]. The
-/// check fails unless, in the bare pass, at least a tenth of the knapsack
-/// cases explore three or more nodes (about 36 of these 150 do; the count
-/// depends on how the workers share the tree).
+/// Parallel solves search with the root cuts installed in the shared form;
+/// the answer must still match enumeration, under the default options and
+/// again under [`bare`]. The check fails unless, in the bare pass, at least
+/// a tenth of the knapsack cases explore three or more nodes (about 36 of
+/// these 150 do; the count depends on how the workers share the tree).
 #[test]
 fn parallel_search_over_root_cuts_matches_enumeration() {
     let cases = cut_cases("cuts::parallel_search_over_root_cuts_matches_enumeration", CASES);
@@ -82,7 +75,7 @@ fn parallel_search_over_root_cuts_matches_enumeration() {
         let truth = common::brute_force(milp);
         let m = build(milp);
         for (is_bare, base) in [(false, SolverOptions::default()), (true, bare())] {
-            let opts = base.cuts(true).threads(4).cut_node_interval(2);
+            let opts = base.cuts(true).threads(4);
             let sol = m.solve_with(&opts).expect("solver must not error");
             assert_proves(&sol, truth, &format!("case {case} (bare {is_bare}), threads=4"));
             if is_bare && case >= CASES {

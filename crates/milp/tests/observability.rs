@@ -104,29 +104,6 @@ fn serial_event_stream_is_deterministic() {
     assert_eq!(a, b, "threads = 1 must replay the identical event sequence");
 }
 
-/// Determinism must survive in-tree separation: `CutRound` is
-/// timestamp-free and the cover separator is deterministic, so a serial
-/// solve with cuts at every depth replays bit-for-bit. The fixture applies
-/// cuts in the tree, beyond the root loop's.
-#[test]
-fn serial_event_stream_is_deterministic_with_tree_cuts() {
-    let root_only = SolverOptions::default().threads(1).cuts(true);
-    let root_cuts = hard_knapsack(14).solve_with(&root_only).unwrap().stats().cuts_applied;
-    let run = || {
-        let (events, obs) = recording_observer();
-        let opts = root_only.clone().cut_node_interval(1).observer(obs);
-        let sol = hard_knapsack(14).solve_with(&opts).unwrap();
-        assert_eq!(sol.status(), SolveStatus::Optimal);
-        assert!(sol.stats().cuts_applied > root_cuts, "fixture must cut in the tree");
-        let e = events.lock().unwrap();
-        e.iter().map(|ev| format!("{ev:?}")).collect::<Vec<_>>()
-    };
-    let a = run();
-    let b = run();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "in-tree cuts broke serial determinism");
-}
-
 #[test]
 fn incumbent_events_report_shrinking_gap_on_maximization() {
     let (events, obs) = recording_observer();
@@ -289,7 +266,6 @@ fn serial_event_stream_is_deterministic_with_all_accelerators() {
         let opts = SolverOptions::default()
             .threads(1)
             .cuts(true)
-            .cut_node_interval(1)
             .heuristics(true)
             .propagation(true)
             .observer(obs);

@@ -716,13 +716,7 @@ fn run_solve_job(
             return;
         }
     };
-    let config = spec.config();
-    let mut session = DeploymentSession::builder(problem)
-        .path_mode(config.path_mode)
-        .objective(config.objective)
-        .warm_start_with_heuristic(config.warm_start_with_heuristic)
-        .solver(config.solver)
-        .build();
+    let mut session = DeploymentSession::builder(problem).config(spec.config()).build();
 
     // Cache lookup under the canonical fingerprint of (program, answer
     // tolerances) — before the per-job control plane is attached. For an
@@ -761,8 +755,7 @@ fn run_solve_job(
         if let Some(sink) = &inner.sink {
             let stream = Arc::clone(sink);
             let observer: Arc<dyn Observer> = Arc::new(move |e: &SolverEvent| match e {
-                SolverEvent::Presolve { .. }
-                | SolverEvent::RootRelaxation { .. }
+                SolverEvent::RootRelaxation { .. }
                 | SolverEvent::HeuristicIncumbent { .. }
                 | SolverEvent::Incumbent { .. }
                 | SolverEvent::Terminated { .. } => stream(&format!("event id={id} {e}")),

@@ -38,10 +38,7 @@ fn heuristic(p: &ProblemInstance) -> Deployment {
 /// One-shot exact solve of `p` under `cfg` through the session API.
 fn exact(p: &ProblemInstance, cfg: OptimalConfig) -> OptimalOutcome {
     DeploymentSession::builder(p.clone())
-        .path_mode(cfg.path_mode)
-        .objective(cfg.objective)
-        .warm_start_with_heuristic(cfg.warm_start_with_heuristic)
-        .solver(cfg.solver)
+        .config(cfg)
         .build()
         .solve()
         .expect("exact solve must not error")
