@@ -44,8 +44,7 @@
 //! most-fractional proves, or reliability's tree is more than 5% larger
 //! than most-fractional's.
 //!
-//! `--json PATH` additionally writes the run's records as a JSON array
-//! (see `results/BENCH_milp.json` for the checked-in baseline);
+//! `--json PATH` additionally writes the run's records as a JSON array;
 //! `--append-json PATH` appends them to an existing array instead, the
 //! convention behind the repo-root `BENCH_milp.json` trajectory file.
 //!

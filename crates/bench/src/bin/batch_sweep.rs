@@ -24,7 +24,7 @@
 //!   [`append_bench_json`].
 //! * `--baseline-file PATH`: per-figure serial wall times from a prior
 //!   run of the standalone binaries, one `fig2X MILLIS ms rc=0` line
-//!   each (the format of `results/baseline/times.txt`). When given, the
+//!   each (e.g. `fig2a 242670 ms rc=0`). When given, the
 //!   summary and the appended records carry `speedup` (serial seconds /
 //!   batched seconds, per figure and for the whole sweep).
 

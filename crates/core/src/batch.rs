@@ -48,14 +48,14 @@ use ndp_milp::{run_batch, IncumbentFeed, SolverOptions};
 
 /// Digest of the solver knobs that steer the search trajectory.
 ///
-/// [`model_fingerprint`](crate::model_fingerprint) deliberately excludes
-/// how-to-search knobs so a solution *service* can share answers across
-/// budgets. The batch cache must be stricter: a time-limited solve under a
-/// 6 s budget is a different (deterministic) outcome than the same model
-/// under 60 s, so every knob that can change the returned incumbent
-/// participates in the member key. The destructuring names every field,
-/// so a field added to or removed from [`SolverOptions`] fails to compile
-/// here until the digest decides about it.
+/// [`DeploymentSession::fingerprint`] deliberately excludes how-to-search
+/// knobs so a solution *service* can share answers across budgets. The
+/// batch cache must be stricter: a time-limited solve under a 6 s budget
+/// is a different (deterministic) outcome than the same model under 60 s,
+/// so every knob that can change the returned incumbent participates in
+/// the member key. The destructuring names every field, so a field added
+/// to or removed from [`SolverOptions`] fails to compile here until the
+/// digest decides about it.
 fn trajectory_digest(s: &SolverOptions) -> u64 {
     let SolverOptions {
         time_limit,
@@ -119,21 +119,31 @@ fn warm_digest(d: Option<&Deployment>) -> u64 {
     h.finish()
 }
 
-/// A shared, thread-safe memo of exact-solve outcomes, keyed by the
-/// canonical member fingerprint (model + answer tolerances + trajectory
-/// knobs + warm start).
+/// A shared, thread-safe memo of exact-solve outcomes under 64-bit keys
+/// that each caller chooses.
+///
+/// [`BatchSession`] keys a member by its trajectory (model + answer
+/// tolerances + trajectory knobs + warm start) and memoizes every member
+/// whose search is a pure function of that key. The `ndp-serve` solve
+/// server keys a request by its answer
+/// ([`DeploymentSession::fingerprint`]) and stores proven (optimal or
+/// infeasible) outcomes only, which hold for a later request whatever its
+/// budget. One store and one pair of counters serve both.
 ///
 /// Clone it to share one cache across several [`BatchSession`]s — e.g. a
 /// whole-experiment sweep where different figures re-solve identical
 /// (instance, config) members. Replayed outcomes are returned verbatim,
 /// so a cache hit is bit-identical to the solve that populated it.
 ///
-/// Duplicate members scheduled *concurrently* are deduplicated in
+/// Duplicate batch members scheduled *concurrently* are deduplicated in
 /// flight: the first claimant of a key runs the solve, later claimants
 /// block until the result is published and replay it, so a batch of `k`
 /// identical members always costs exactly one search regardless of how
 /// the pool interleaves them. A claimant that fails releases the key and
-/// wakes the waiters, the first of which takes over the solve.
+/// wakes the waiters, the first of which takes over the solve. A caller
+/// that must honour its own deadline or cancel instead uses
+/// [`replay`](SolveCache::replay) and [`publish`](SolveCache::publish),
+/// which never wait on another caller's solve.
 #[derive(Clone, Default)]
 pub struct SolveCache {
     inner: Arc<CacheSync>,
@@ -176,11 +186,8 @@ struct ClaimGuard<'a> {
 
 impl ClaimGuard<'_> {
     fn fulfill(mut self, outcome: OptimalOutcome) {
-        let mut state = self.cache.inner.state.lock().expect("solve cache poisoned");
-        state.map.insert(self.key, Slot::Done(Box::new(outcome)));
         self.fulfilled = true;
-        drop(state);
-        self.cache.inner.published.notify_all();
+        self.cache.publish(self.key, outcome);
     }
 }
 
@@ -221,9 +228,34 @@ impl SolveCache {
         self.inner.state.lock().expect("solve cache poisoned").hits
     }
 
-    /// Lookups that claimed the key and ran a real solve so far.
+    /// Lookups that found no published outcome so far: claims that ran a
+    /// real solve, and replays that missed.
     pub fn misses(&self) -> u64 {
         self.inner.state.lock().expect("solve cache poisoned").misses
+    }
+
+    /// Returns the outcome published under `key`, counting a hit, or
+    /// counts a miss. It never waits: a key another caller is still
+    /// solving is a miss.
+    pub fn replay(&self, key: u64) -> Option<OptimalOutcome> {
+        let mut state = self.inner.state.lock().expect("solve cache poisoned");
+        if let Some(Slot::Done(outcome)) = state.map.get(&key) {
+            let outcome = (**outcome).clone();
+            state.hits += 1;
+            Some(outcome)
+        } else {
+            state.misses += 1;
+            None
+        }
+    }
+
+    /// Publishes `outcome` under `key`, replacing any earlier one, and
+    /// wakes the claimants waiting for it.
+    pub fn publish(&self, key: u64, outcome: OptimalOutcome) {
+        let mut state = self.inner.state.lock().expect("solve cache poisoned");
+        state.map.insert(key, Slot::Done(Box::new(outcome)));
+        drop(state);
+        self.inner.published.notify_all();
     }
 
     /// Replays `key` if published, waits if a duplicate is solving it,
@@ -690,6 +722,23 @@ mod tests {
         assert_eq!(batch.cache().misses(), 1, "only the link source claims a key");
         assert!(!multi_out.from_cache, "a link target must not replay");
         assert_eq!(batch.cache().len(), 1, "a link target must not publish");
+    }
+
+    #[test]
+    fn replay_never_waits_and_counts_every_lookup() {
+        let cache = SolveCache::new();
+        let outcome = serial_solve(&small_instance(3, 23), &quick());
+        let Claim::Solve(guard) = cache.claim(7) else {
+            panic!("an empty cache must hand out the claim")
+        };
+        assert!(cache.replay(7).is_none(), "a key being solved is a miss, not a wait");
+        guard.fulfill(outcome.clone());
+        let hit = cache.replay(7).expect("a published key replays");
+        assert_eq!(hit.objective_mj, outcome.objective_mj);
+        cache.publish(8, outcome);
+        assert!(cache.replay(8).is_some());
+        assert!(cache.replay(9).is_none());
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 3, 2));
     }
 
     #[test]

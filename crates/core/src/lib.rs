@@ -51,7 +51,6 @@ mod analysis;
 mod baselines;
 mod batch;
 mod error;
-mod fingerprint;
 mod formulation;
 mod heuristic;
 mod optimal;
@@ -69,7 +68,6 @@ pub use analysis::{
 pub use baselines::{first_fit_fastest, random_mapping, round_robin};
 pub use batch::{BatchOutcome, BatchSession, SolveCache};
 pub use error::{DeployError, Error, Result};
-pub use fingerprint::{instance_fingerprint, model_fingerprint};
 pub use formulation::{DeployObjective, MilpEncoding, PathMode};
 pub use heuristic::{phase1, phase2, phase3, Phase1, Phase2};
 pub use optimal::{OptimalConfig, OptimalOutcome};

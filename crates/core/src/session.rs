@@ -55,6 +55,7 @@ use crate::optimal::{best_warm_candidate, OptimalConfig, OptimalOutcome};
 use crate::problem::ProblemInstance;
 use crate::schedule::list_schedule;
 use crate::solution::Deployment;
+use ndp_milp::fingerprint::Fnv64;
 use ndp_milp::{Model, ResolveSession, SolverOptions};
 use ndp_platform::{LevelId, ProcessorId};
 use ndp_taskset::{Task, TaskId};
@@ -289,12 +290,19 @@ impl DeploymentSession {
     }
 
     /// Canonical cache key of the session's *current* model under the
-    /// configured answer tolerances (building the model on first use).
+    /// configured answer tolerances (building the model on first use):
+    /// equal keys mean the same mathematical program solved to the same
+    /// tolerances, so a proven outcome can be replayed without re-running
+    /// branch and bound.
     ///
-    /// Unlike [`instance_fingerprint`](crate::instance_fingerprint), this
-    /// hashes the live model — including every row, bound and rhs edited
-    /// by scenario events — so a cache keyed on it can never replay a
-    /// pre-event outcome.
+    /// The hash goes through the built MILP, not the request: two requests
+    /// that linearize to the identical program share a key. It covers the
+    /// live model — every row, bound and rhs edited by scenario events — so
+    /// a cache keyed on it can never replay a pre-event outcome. Solver
+    /// knobs that change only *how* the optimum is found (threads,
+    /// branching, warm starts, cuts, time or node limits) are excluded;
+    /// tolerances and gaps that change *what* counts as an answer are
+    /// included.
     ///
     /// # Errors
     ///
@@ -302,7 +310,7 @@ impl DeploymentSession {
     pub fn fingerprint(&mut self) -> Result<u64> {
         self.ensure_model()?;
         let milp = self.milp.as_ref().expect("ensure_model built the session");
-        Ok(crate::fingerprint::model_fingerprint(milp.model(), &self.config.solver))
+        Ok(model_fingerprint(milp.model(), &self.config.solver))
     }
 
     /// Absorbs a scenario event, mutating the problem and (when possible)
@@ -693,6 +701,21 @@ impl DeploymentSession {
     }
 }
 
+/// [`DeploymentSession::fingerprint`] of `model` under `solver`'s answer
+/// tolerances.
+fn model_fingerprint(model: &Model, solver: &SolverOptions) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(model.fingerprint());
+    h.write_f64(solver.integrality_tol);
+    h.write_f64(solver.feasibility_tol);
+    h.write_f64(solver.relative_gap);
+    h.write_f64(solver.absolute_gap);
+    // The solver's working infinite bound (bounds clamp to ±1e9). A fixed
+    // value adds nothing to the key, but folding it keeps existing keys.
+    h.write_f64(1e9);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,5 +867,69 @@ mod tests {
         let out = s.solve().unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
         assert!(!out.is_feasible());
+    }
+
+    fn key(problem: ProblemInstance, config: OptimalConfig) -> u64 {
+        DeploymentSession::builder(problem).config(config).build().fingerprint().unwrap()
+    }
+
+    #[test]
+    fn identical_requests_share_a_fingerprint() {
+        let config = OptimalConfig::default();
+        assert_eq!(key(small_instance(4, 7), config.clone()), key(small_instance(4, 7), config));
+    }
+
+    #[test]
+    fn different_instances_or_objectives_get_different_fingerprints() {
+        let base = key(small_instance(4, 7), OptimalConfig::default());
+        assert_ne!(base, key(small_instance(4, 8), OptimalConfig::default()));
+        let me = OptimalConfig {
+            objective: DeployObjective::MinimizeTotalEnergy,
+            ..OptimalConfig::default()
+        };
+        assert_ne!(base, key(small_instance(4, 7), me));
+        let single = OptimalConfig {
+            path_mode: PathMode::SingleFixed(ndp_noc::PathKind::EnergyOriented),
+            ..OptimalConfig::default()
+        };
+        assert_ne!(base, key(small_instance(4, 7), single));
+    }
+
+    #[test]
+    fn search_strategy_knobs_do_not_split_the_cache() {
+        let reference = key(small_instance(4, 7), OptimalConfig::default());
+        let mut tweaked = OptimalConfig::default();
+        tweaked.solver.threads = 4;
+        tweaked.solver.time_limit = 1.5;
+        tweaked.solver.node_limit = 10;
+        tweaked.solver.cuts = true;
+        tweaked.solver.heuristics = false;
+        tweaked.warm_start_with_heuristic = false;
+        let fp = key(small_instance(4, 7), tweaked);
+        assert_eq!(reference, fp, "how-to-search knobs must not change the key");
+
+        let mut gap = OptimalConfig::default();
+        gap.solver.relative_gap = 0.25;
+        let gap_fp = key(small_instance(4, 7), gap);
+        assert_ne!(reference, gap_fp, "answer tolerances must change the key");
+    }
+
+    /// The request key is a cache key: a change to the hashing primitive or
+    /// to the encoding must show up here, not as a silent key shift.
+    #[test]
+    fn model_fingerprint_is_pinned_on_a_fixed_model() {
+        use ndp_milp::{LinExpr, Objective};
+        let mut m = Model::new("pin");
+        let mut weight = LinExpr::new();
+        let mut value = LinExpr::new();
+        for i in 0..5 {
+            let x = m.binary(format!("x{i}"));
+            weight.add_term(x, 2.0 + i as f64);
+            value.add_term(x, 3.0 + i as f64);
+        }
+        m.add_le("cap", weight, 7.0);
+        m.set_objective(Objective::Maximize, value);
+        assert_eq!(m.fingerprint(), 406_158_733_299_057_963);
+        assert_eq!(model_fingerprint(&m, &SolverOptions::default()), 17_647_812_739_114_175_119);
     }
 }

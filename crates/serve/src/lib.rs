@@ -12,21 +12,24 @@
 //!   new work at submission time (admission control) instead of queueing
 //!   unboundedly; every accepted job gets its own [`CancelToken`].
 //! * **Deadlines** — a job's `deadline_ms` is measured from *submission*,
-//!   so time spent waiting in the queue counts against it. A watcher
-//!   thread maps expired deadlines onto the job's `CancelToken` (queued or
-//!   running, the token fires either way) and the remaining budget is also
-//!   handed to the solver as its wall-clock limit.
+//!   so time spent waiting in the queue counts against it. A job whose
+//!   deadline passed in the queue finishes `deadline` when a runner picks
+//!   it up, without touching the solver; a running job hands the remaining
+//!   budget to the solver as its wall-clock limit, which the solver checks
+//!   at the same points as the cancel token. The token fires only on a
+//!   client cancel, so `cancelled` always means the client asked.
 //! * **Fault isolation** — runner threads wrap each job in
 //!   `catch_unwind`, and the solver itself contains worker panics to the
 //!   owning job ([`ndp_milp::MilpError::WorkerPanicked`]); one tenant's
 //!   crash becomes that job's structured failure, never the server's.
-//! * **Solution cache** — requests are keyed by the canonical model
-//!   fingerprint ([`ndp_core::DeploymentSession::fingerprint`], the hash
-//!   of the built MILP plus answer-relevant tolerances; identical to
-//!   [`ndp_core::instance_fingerprint`] for a fresh request). Proven
-//!   outcomes (optimal or infeasible) are cached; an identical later
-//!   request is answered with zero solver nodes. Hit/miss counters surface
-//!   in [`ServerStats`].
+//! * **Solution cache** — answers come from one [`SolveCache`], keyed by
+//!   the canonical model fingerprint
+//!   ([`ndp_core::DeploymentSession::fingerprint`], the hash of the built
+//!   MILP plus answer-relevant tolerances). Only proven outcomes (optimal
+//!   or infeasible) are stored; an identical later request is answered
+//!   with zero solver nodes. A job never waits on another job's solve of
+//!   the same key, which could outlast its deadline: it solves the key
+//!   itself. The cache's hit/miss counters surface in [`ServerStats`].
 //! * **Online re-deployment** — a solve submitted with `session=on`
 //!   retains its [`DeploymentSession`] (keyed by the job id) after the
 //!   answer is delivered. A later `delta` request names that session plus
@@ -38,11 +41,11 @@
 //! * **Line protocol** — an offline-friendly, transport-agnostic text
 //!   protocol (stdin/stdout in the shipped binary): `solve`/`delta`/
 //!   `cancel`/`stats`/`shutdown` in, `ack`/`event`/`done`/`stats`/`bye`
-//!   out, one `key=value` record per line. See [`handle_line`].
+//!   out, one `key=value` record per line. See [`PROTOCOL`].
 
 use ndp_core::{
     CommTimeModel, DeployObjective, DeploymentSession, OptimalConfig, ProblemInstance,
-    ScenarioEvent,
+    ScenarioEvent, SolveCache,
 };
 use ndp_milp::{CancelToken, Observer, SolveStatus, SolverEvent};
 use ndp_noc::{Mesh2D, NocParams, WeightedNoc};
@@ -164,17 +167,23 @@ impl RequestSpec {
 pub enum JobStatus {
     /// Proven optimal deployment.
     Optimal,
-    /// Feasible deployment without a completed proof.
+    /// A deployment without a completed proof: the time budget (the job's
+    /// deadline, or a delta's `budget_ms`) stopped the search after it
+    /// found one.
     Feasible,
     /// Proven infeasible.
     Infeasible,
-    /// The per-job deadline expired (in queue or mid-solve).
+    /// The time budget ran out before any deployment was found: in the
+    /// queue, or mid-solve.
     Deadline,
-    /// Cancelled by the client (or at server shutdown).
+    /// Cancelled by the client (or drained from the queue at server
+    /// shutdown).
     Cancelled,
     /// Rejected at admission (full queue or invalid spec).
     Rejected,
-    /// The solve failed (structured solver error or a contained panic).
+    /// The solve failed: a structured solver error, a contained panic, or
+    /// a search that stopped without a deployment before its time budget
+    /// ran out (numerics).
     Failed,
 }
 
@@ -272,10 +281,9 @@ enum JobKind {
 
 struct Job {
     kind: JobKind,
+    /// Fires only on a client cancel; deadlines reach the solver as its
+    /// time limit.
     token: CancelToken,
-    /// Set on an explicit client cancel (distinguishes `Cancelled` from
-    /// `Deadline` when the token fires).
-    cancel_requested: Arc<AtomicBool>,
     submitted: Instant,
     deadline: Option<Instant>,
     state: JobState,
@@ -288,7 +296,8 @@ struct Inner {
     queue_cv: Condvar,
     jobs: Mutex<HashMap<u64, Job>>,
     done_cv: Condvar,
-    cache: Mutex<HashMap<u64, CacheEntry>>,
+    /// Proven outcomes keyed by [`DeploymentSession::fingerprint`].
+    cache: SolveCache,
     /// Retained deployment sessions keyed by the solve job's id. A `delta`
     /// job takes its session out while re-solving (one delta in flight per
     /// session) and puts the mutated session back when done.
@@ -299,14 +308,6 @@ struct Inner {
     completed: AtomicU64,
     cancelled: AtomicU64,
     rejected: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-}
-
-#[derive(Clone)]
-struct CacheEntry {
-    status: JobStatus,
-    objective_mj: Option<f64>,
 }
 
 /// The multi-tenant solve server. Construct with [`SolveServer::start`],
@@ -319,8 +320,8 @@ pub struct SolveServer {
 }
 
 impl SolveServer {
-    /// Spawns the runner and deadline-watcher threads and returns the
-    /// ready server. `sink` receives every protocol output line.
+    /// Spawns the runner threads and returns the ready server. `sink`
+    /// receives every protocol output line.
     pub fn start(cfg: ServerConfig, sink: Option<OutputSink>) -> Self {
         let runners = cfg.runners.max(1);
         let inner = Arc::new(Inner {
@@ -330,7 +331,7 @@ impl SolveServer {
             queue_cv: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             done_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: SolveCache::new(),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -338,28 +339,16 @@ impl SolveServer {
             completed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
         });
-        let mut threads = Vec::with_capacity(runners + 1);
-        for i in 0..runners {
-            let inner = Arc::clone(&inner);
-            threads.push(
+        let threads = (0..runners)
+            .map(|i| {
+                let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("ndp-serve-runner-{i}"))
                     .spawn(move || runner_main(&inner))
-                    .expect("spawn runner"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ndp-serve-deadline".into())
-                    .spawn(move || deadline_watcher(&inner))
-                    .expect("spawn deadline watcher"),
-            );
-        }
+                    .expect("spawn runner")
+            })
+            .collect();
         SolveServer { inner, threads: Mutex::new(threads) }
     }
 
@@ -448,7 +437,6 @@ impl SolveServer {
                 Job {
                     kind,
                     token: CancelToken::new(),
-                    cancel_requested: Arc::new(AtomicBool::new(false)),
                     submitted,
                     deadline,
                     state: JobState::Queued,
@@ -467,7 +455,6 @@ impl SolveServer {
         let jobs = self.inner.jobs.lock();
         match jobs.get(&id) {
             Some(job) if !matches!(job.state, JobState::Done(_)) => {
-                job.cancel_requested.store(true, Ordering::Release);
                 job.token.cancel();
                 true
             }
@@ -495,8 +482,8 @@ impl SolveServer {
             completed: self.inner.completed.load(Ordering::Relaxed),
             cancelled: self.inner.cancelled.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.load(Ordering::Relaxed),
+            cache_hits: self.inner.cache.hits(),
+            cache_misses: self.inner.cache.misses(),
             queue_depth: self.inner.queue.lock().len(),
             pool_workers: ndp_milp::worker_pool_size(),
             sessions: self.inner.sessions.lock().len(),
@@ -511,15 +498,8 @@ impl SolveServer {
             queue.drain(..).collect()
         };
         for id in drained {
-            finish_job(
-                &self.inner,
-                id,
-                JobStatus::Cancelled,
-                None,
-                0,
-                false,
-                Some("server shutdown".into()),
-            );
+            let error = Some("server shutdown".into());
+            finish_job(&self.inner, id, Answer { error, ..Answer::status(JobStatus::Cancelled) });
         }
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.queue_cv.notify_all();
@@ -537,30 +517,7 @@ fn emit(inner: &Inner, line: &str) {
     }
 }
 
-/// Maps expired deadlines onto the owning job's [`CancelToken`]: queued
-/// jobs get cancelled before they waste a runner, running jobs are
-/// interrupted cooperatively.
-fn deadline_watcher(inner: &Inner) {
-    while !inner.shutdown.load(Ordering::Acquire) {
-        let now = Instant::now();
-        {
-            let jobs = inner.jobs.lock();
-            for job in jobs.values() {
-                if matches!(job.state, JobState::Done(_)) {
-                    continue;
-                }
-                if let Some(d) = job.deadline {
-                    if now >= d {
-                        job.token.cancel();
-                    }
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn runner_main(inner: &Arc<Inner>) {
+fn runner_main(inner: &Inner) {
     loop {
         let id = {
             let mut queue = inner.queue.lock();
@@ -583,22 +540,35 @@ fn runner_main(inner: &Arc<Inner>) {
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".into());
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(msg));
+            finish_job(inner, id, Answer::failed(msg));
         }
     }
 }
 
-/// Marks `id` done, bumps counters, wakes waiters and emits the `done`
-/// protocol line.
-fn finish_job(
-    inner: &Inner,
-    id: u64,
+/// What a runner reports for one job; [`finish_job`] adds the id and the
+/// wall time.
+struct Answer {
     status: JobStatus,
     objective_mj: Option<f64>,
     nodes: u64,
     cache_hit: bool,
     error: Option<String>,
-) {
+}
+
+impl Answer {
+    /// `status` without a deployment, nodes or error.
+    fn status(status: JobStatus) -> Self {
+        Answer { status, objective_mj: None, nodes: 0, cache_hit: false, error: None }
+    }
+
+    fn failed(error: String) -> Self {
+        Answer { error: Some(error), ..Answer::status(JobStatus::Failed) }
+    }
+}
+
+/// Marks `id` done, bumps counters, wakes waiters and emits the `done`
+/// protocol line.
+fn finish_job(inner: &Inner, id: u64, answer: Answer) {
     let outcome = {
         let mut jobs = inner.jobs.lock();
         let Some(job) = jobs.get_mut(&id) else { return };
@@ -607,30 +577,30 @@ fn finish_job(
         }
         let outcome = JobOutcome {
             id,
-            status,
-            objective_mj,
-            nodes,
+            status: answer.status,
+            objective_mj: answer.objective_mj,
+            nodes: answer.nodes,
             wall_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
-            cache_hit,
-            error,
+            cache_hit: answer.cache_hit,
+            error: answer.error,
         };
         job.state = JobState::Done(outcome.clone());
         outcome
     };
     inner.completed.fetch_add(1, Ordering::Relaxed);
-    if status == JobStatus::Cancelled {
+    if outcome.status == JobStatus::Cancelled {
         inner.cancelled.fetch_add(1, Ordering::Relaxed);
     }
     inner.done_cv.notify_all();
     let mut line = format!(
         "done id={} status={} nodes={} wall_ms={:.1} cache={}",
         id,
-        status.name(),
-        nodes,
+        outcome.status.name(),
+        outcome.nodes,
         outcome.wall_ms,
-        if cache_hit { "hit" } else { "miss" }
+        if outcome.cache_hit { "hit" } else { "miss" }
     );
-    if let Some(obj) = objective_mj {
+    if let Some(obj) = outcome.objective_mj {
         line.push_str(&format!(" objective_mj={obj:.6}"));
     }
     if let Some(e) = &outcome.error {
@@ -639,118 +609,58 @@ fn finish_job(
     emit(inner, &line);
 }
 
-/// Maps a solver termination status onto the job status, using the
-/// control-plane flags to tell a client cancel from a deadline expiry.
-fn interrupted_status(cancel_requested: &AtomicBool, deadline: Option<Instant>) -> JobStatus {
-    if cancel_requested.load(Ordering::Acquire) {
-        JobStatus::Cancelled
-    } else if deadline.is_some() {
-        JobStatus::Deadline
-    } else {
-        JobStatus::Cancelled
-    }
-}
-
-fn solve_status_to_job(
-    status: SolveStatus,
-    cancel_requested: &AtomicBool,
-    deadline: Option<Instant>,
-) -> JobStatus {
+/// The job status of a finished search. The job's token fires only on a
+/// client cancel, so `Interrupted` is a cancel. A search stopped without a
+/// deployment ran out of its time budget when `out_of_time`, and failed
+/// (numerics) otherwise.
+fn job_status(status: SolveStatus, out_of_time: bool) -> JobStatus {
     match status {
         SolveStatus::Optimal => JobStatus::Optimal,
         SolveStatus::Feasible => JobStatus::Feasible,
         SolveStatus::Infeasible => JobStatus::Infeasible,
-        SolveStatus::Interrupted => interrupted_status(cancel_requested, deadline),
-        SolveStatus::Unbounded | SolveStatus::Unknown => JobStatus::Failed,
+        SolveStatus::Interrupted => JobStatus::Cancelled,
+        SolveStatus::Unknown if out_of_time => JobStatus::Deadline,
+        SolveStatus::Unknown | SolveStatus::Unbounded => JobStatus::Failed,
     }
 }
 
-fn run_job(inner: &Arc<Inner>, id: u64) {
-    let (kind, token, cancel_requested, deadline) = {
+fn run_job(inner: &Inner, id: u64) {
+    let (kind, token, deadline) = {
         let mut jobs = inner.jobs.lock();
         let Some(job) = jobs.get_mut(&id) else { return };
         if matches!(job.state, JobState::Done(_)) {
             return;
         }
         job.state = JobState::Running;
-        (job.kind.clone(), job.token.clone(), Arc::clone(&job.cancel_requested), job.deadline)
+        (job.kind.clone(), job.token.clone(), job.deadline)
     };
-
-    // Admission covers queue wait: a job whose deadline or cancel fired
-    // while waiting never touches the solver.
-    let timed_out = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() >= d);
-    if token.is_cancelled() || timed_out(deadline) {
-        let status = if cancel_requested.load(Ordering::Acquire) {
-            JobStatus::Cancelled
-        } else if timed_out(deadline) {
-            JobStatus::Deadline
-        } else {
-            JobStatus::Cancelled
-        };
-        finish_job(inner, id, status, None, 0, false, None);
-        return;
-    }
-
-    match kind {
-        JobKind::Solve(spec) => {
-            run_solve_job(inner, id, &spec, &token, &cancel_requested, deadline)
+    // A job cancelled or out of time while it waited never touches the
+    // solver.
+    let answer = if token.is_cancelled() {
+        Answer::status(JobStatus::Cancelled)
+    } else if deadline.is_some_and(|d| Instant::now() >= d) {
+        Answer::status(JobStatus::Deadline)
+    } else {
+        match kind {
+            JobKind::Solve(spec) => run_solve_job(inner, id, &spec, &token, deadline),
+            JobKind::Delta { session, event, budget_ms } => {
+                run_delta_job(inner, session, &event, budget_ms, &token)
+            }
         }
-        JobKind::Delta { session, event, budget_ms } => {
-            run_delta_job(inner, id, session, &event, budget_ms, &token, &cancel_requested);
-        }
-    }
+        .unwrap_or_else(Answer::failed)
+    };
+    finish_job(inner, id, answer);
 }
 
 fn run_solve_job(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     id: u64,
     spec: &RequestSpec,
     token: &CancelToken,
-    cancel_requested: &AtomicBool,
     deadline: Option<Instant>,
-) {
-    let problem = match spec.build_problem() {
-        Ok(p) => p,
-        Err(e) => {
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e));
-            return;
-        }
-    };
-    let mut session = DeploymentSession::builder(problem).config(spec.config()).build();
-
-    // Cache lookup under the canonical fingerprint of (program, answer
-    // tolerances) — before the per-job control plane is attached. For an
-    // untouched session this equals `ndp_core::instance_fingerprint`, so
-    // one-shot and session-retaining requests share cache entries.
-    let fingerprint = match session.fingerprint() {
-        Ok(fp) => fp,
-        Err(e) => {
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e.to_string()));
-            return;
-        }
-    };
-    if let Some(entry) = inner.cache.lock().get(&fingerprint).cloned() {
-        inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-        // The session is still retained on a cache hit: later deltas need
-        // live solver state, which the cache entry does not carry.
-        if spec.session {
-            inner.sessions.lock().insert(id, session);
-        }
-        finish_job(inner, id, entry.status, entry.objective_mj, 0, true, None);
-        return;
-    }
-    inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-
-    // Attach the control plane: cancel token, remaining deadline budget,
-    // and (when requested) the event stream.
-    session.solver_mut().cancel = Some(token.clone());
-    if let Some(d) = deadline {
-        let remaining = d.saturating_duration_since(Instant::now()).as_secs_f64();
-        let solver = session.solver_mut();
-        if solver.time_limit.is_infinite() || remaining < solver.time_limit {
-            solver.time_limit = remaining;
-        }
-    }
+) -> Result<Answer, String> {
+    let mut session =
+        DeploymentSession::builder(spec.build_problem()?).config(spec.config()).build();
     if spec.events {
         if let Some(sink) = &inner.sink {
             let stream = Arc::clone(sink);
@@ -764,107 +674,88 @@ fn run_solve_job(
             session.solver_mut().observer = ndp_milp::ObserverHandle::new(observer);
         }
     }
-
-    match session.solve() {
-        Ok(outcome) => {
-            let status = solve_status_to_job(outcome.status, cancel_requested, deadline);
-            // Only proven answers are sound for every later requester.
-            if matches!(status, JobStatus::Optimal | JobStatus::Infeasible) {
-                inner
-                    .cache
-                    .lock()
-                    .insert(fingerprint, CacheEntry { status, objective_mj: outcome.objective_mj });
-            }
-            if spec.session {
-                inner.sessions.lock().insert(id, session);
-            }
-            let error = (status == JobStatus::Failed)
-                .then(|| format!("solver status {:?}", outcome.status));
-            finish_job(inner, id, status, outcome.objective_mj, outcome.nodes, false, error);
-        }
-        Err(e) => {
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e.to_string()));
-        }
+    let answer =
+        solve_or_replay(inner, &mut session, token, deadline).map_err(|e| e.to_string())?;
+    // Retained on a cache hit too: later deltas need live solver state,
+    // which the cache does not carry.
+    if spec.session {
+        inner.sessions.lock().insert(id, session);
     }
+    Ok(answer)
 }
 
 fn run_delta_job(
-    inner: &Arc<Inner>,
-    id: u64,
+    inner: &Inner,
     session_id: u64,
     event: &ScenarioEvent,
     budget_ms: Option<u64>,
     token: &CancelToken,
-    cancel_requested: &AtomicBool,
-) {
+) -> Result<Answer, String> {
     // Take the session out of the map while re-solving: ownership transfer
     // keeps one delta in flight per session without holding the map lock
     // across a solve. A second delta racing on the same session sees it
     // missing and fails cleanly.
-    let Some(mut session) = inner.sessions.lock().remove(&session_id) else {
-        finish_job(
-            inner,
-            id,
-            JobStatus::Failed,
-            None,
-            0,
-            false,
-            Some(format!("unknown session {session_id}")),
-        );
-        return;
-    };
-
-    if let Err(e) = session.apply(event) {
-        // A rejected event (e.g. faulting the last working core) leaves the
-        // session untouched and retained.
-        inner.sessions.lock().insert(session_id, session);
-        finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e.to_string()));
-        return;
-    }
-
-    // Re-fingerprint the *mutated* model: the event changed bounds, rhs or
-    // the row set, so the key must move off the pre-delta entry — serving
-    // the cached pre-delta outcome here would be a stale hit.
-    let fingerprint = match session.fingerprint() {
-        Ok(fp) => fp,
-        Err(e) => {
-            inner.sessions.lock().insert(session_id, session);
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e.to_string()));
-            return;
+    let mut session = inner
+        .sessions
+        .lock()
+        .remove(&session_id)
+        .ok_or_else(|| format!("unknown session {session_id}"))?;
+    // A rejected event (e.g. faulting the last working core) leaves the
+    // session untouched; either way it stays retained.
+    let answer = session.apply(event).and_then(|_| {
+        if let Some(ms) = budget_ms {
+            session.solver_mut().time_limit = ms as f64 / 1e3;
         }
-    };
-    if let Some(entry) = inner.cache.lock().get(&fingerprint).cloned() {
-        inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-        inner.sessions.lock().insert(session_id, session);
-        finish_job(inner, id, entry.status, entry.objective_mj, 0, true, None);
-        return;
-    }
-    inner.cache_misses.fetch_add(1, Ordering::Relaxed);
+        solve_or_replay(inner, &mut session, token, None)
+    });
+    inner.sessions.lock().insert(session_id, session);
+    answer.map_err(|e| e.to_string())
+}
 
-    session.solver_mut().cancel = Some(token.clone());
-    let result = match budget_ms {
-        Some(ms) => session.resolve(ms as f64 / 1e3),
-        None => session.solve(),
-    };
-    match result {
-        Ok(outcome) => {
-            let status = solve_status_to_job(outcome.status, cancel_requested, None);
-            if matches!(status, JobStatus::Optimal | JobStatus::Infeasible) {
-                inner
-                    .cache
-                    .lock()
-                    .insert(fingerprint, CacheEntry { status, objective_mj: outcome.objective_mj });
-            }
-            inner.sessions.lock().insert(session_id, session);
-            let error = (status == JobStatus::Failed)
-                .then(|| format!("solver status {:?}", outcome.status));
-            finish_job(inner, id, status, outcome.objective_mj, outcome.nodes, false, error);
-        }
-        Err(e) => {
-            inner.sessions.lock().insert(session_id, session);
-            finish_job(inner, id, JobStatus::Failed, None, 0, false, Some(e.to_string()));
-        }
+/// Answers a job on `session`: replays the proven outcome cached under the
+/// session's current fingerprint, or solves under `token` and the
+/// session's time limit, cut to what is left before `deadline`, and caches
+/// the outcome if it is proven. A delta re-fingerprints its mutated model
+/// here, so it never replays the pre-delta entry.
+fn solve_or_replay(
+    inner: &Inner,
+    session: &mut DeploymentSession,
+    token: &CancelToken,
+    deadline: Option<Instant>,
+) -> ndp_core::Result<Answer> {
+    let key = session.fingerprint()?;
+    if let Some(hit) = inner.cache.replay(key) {
+        let status = job_status(hit.status, false);
+        return Ok(Answer {
+            objective_mj: hit.objective_mj,
+            cache_hit: true,
+            ..Answer::status(status)
+        });
     }
+    let solver = session.solver_mut();
+    solver.cancel = Some(token.clone());
+    if let Some(d) = deadline {
+        let remaining = d.saturating_duration_since(Instant::now()).as_secs_f64();
+        solver.time_limit = solver.time_limit.min(remaining);
+    }
+    let started = Instant::now();
+    let outcome = session.solve()?;
+    // The solver stops at its limit once its own clock, started after
+    // `started`, passes it; so a limit stop always reads out of time here.
+    let out_of_time = started.elapsed().as_secs_f64() >= session.solver().time_limit;
+    let status = job_status(outcome.status, out_of_time);
+    let answer = Answer {
+        status,
+        objective_mj: outcome.objective_mj,
+        nodes: outcome.nodes,
+        cache_hit: false,
+        error: (status == JobStatus::Failed).then(|| format!("solver status {:?}", outcome.status)),
+    };
+    // Only proven answers are sound for every later requester.
+    if matches!(status, JobStatus::Optimal | JobStatus::Infeasible) {
+        inner.cache.publish(key, outcome);
+    }
+    Ok(answer)
 }
 
 // --------------------------------------------------------------------------
@@ -978,15 +869,53 @@ fn parse_event(s: &str) -> Result<ScenarioEvent, String> {
     }
 }
 
-/// Handles one protocol input line, emitting response lines through the
-/// server's sink. Returns `false` once the client asked for `shutdown`
-/// (the server is already stopped at that point).
-///
-/// Commands: `solve id=<n> [tasks= mesh= levels= alpha= seed= threads=
-/// gap= deadline_ms= events= session= objective=]`, `delta id=<n>
-/// session=<solve-id> event=<evt> [budget_ms=<ms>]` (see [`parse_event`]
-/// for the event grammar), `cancel id=<n>`, `stats`, `shutdown`. Unknown
-/// commands get an `err` line; blank lines and `#` comments are ignored.
+/// The line protocol [`handle_line`] accepts, one command per line;
+/// `ndp-serve --help` prints it.
+pub const PROTOCOL: &str = "\
+solve id=<n> [tasks=<m> mesh=<side> levels=<l> alpha=<a> seed=<s> threads=<t>
+      gap=<g> deadline_ms=<ms> events=on session=on objective=be|me]
+delta id=<n> session=<solve-id> event=<event> [budget_ms=<ms>]
+      <event> = fault:<proc> | deadline:<task>:<ms>
+              | arrival:<wcec>:<deadline_ms>[:<pred>x<data>]...
+cancel id=<n>
+stats
+shutdown
+Replies are ack, event, done, stats, err and bye lines of key=value fields.
+Blank lines and lines starting with # are ignored.";
+
+/// The `id=` of a job command, or `None` after emitting the protocol error
+/// for a missing or malformed one.
+fn job_id(server: &SolveServer, kv: &HashMap<String, String>) -> Option<u64> {
+    let id = kv.get("id").and_then(|v| v.parse().ok());
+    if id.is_none() {
+        emit(&server.inner, "err reason=missing-or-bad-id");
+    }
+    id
+}
+
+/// Emits `ack` for an accepted submission, or its `err` line.
+fn acknowledge(server: &SolveServer, id: u64, submitted: Result<(), String>) {
+    let line = match submitted {
+        Ok(()) => format!("ack id={id}"),
+        Err(e) => format!("err id={id} reason={}", e.replace([' ', '\n'], "_")),
+    };
+    emit(&server.inner, &line);
+}
+
+/// Parses a `delta` command's `session=`, optional `budget_ms=` and
+/// `event=`.
+fn parse_delta(kv: &HashMap<String, String>) -> Result<(u64, ScenarioEvent, Option<u64>), String> {
+    let session = kv.get("session").and_then(|v| v.parse().ok()).ok_or("missing-or-bad-session")?;
+    let budget_ms =
+        kv.get("budget_ms").map(|v| v.parse().map_err(|_| "bad-budget_ms")).transpose()?;
+    let event = parse_event(kv.get("event").ok_or("missing event")?)?;
+    Ok((session, event, budget_ms))
+}
+
+/// Handles one protocol input line (grammar in [`PROTOCOL`]), emitting
+/// response lines through the server's sink. Returns `false` once the
+/// client asked for `shutdown` (the server is already stopped at that
+/// point). Unknown commands get an `err` line.
 pub fn handle_line(server: &SolveServer, line: &str) -> bool {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -996,76 +925,22 @@ pub fn handle_line(server: &SolveServer, line: &str) -> bool {
     let kv = parse_kv(&tokens[1..]);
     match tokens[0] {
         "solve" => {
-            let id = match kv.get("id").map(|v| v.parse::<u64>()) {
-                Some(Ok(id)) => id,
-                _ => {
-                    emit(&server.inner, "err reason=missing-or-bad-id");
-                    return true;
-                }
-            };
-            match parse_spec(&kv).and_then(|spec| server.submit_with_id(id, spec)) {
-                Ok(()) => emit(&server.inner, &format!("ack id={id}")),
-                Err(e) => emit(
-                    &server.inner,
-                    &format!("err id={id} reason={}", e.replace([' ', '\n'], "_")),
-                ),
-            }
+            let Some(id) = job_id(server, &kv) else { return true };
+            acknowledge(
+                server,
+                id,
+                parse_spec(&kv).and_then(|spec| server.submit_with_id(id, spec)),
+            );
         }
         "delta" => {
-            let id = match kv.get("id").map(|v| v.parse::<u64>()) {
-                Some(Ok(id)) => id,
-                _ => {
-                    emit(&server.inner, "err reason=missing-or-bad-id");
-                    return true;
-                }
-            };
-            let session = match kv.get("session").map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => s,
-                _ => {
-                    emit(&server.inner, &format!("err id={id} reason=missing-or-bad-session"));
-                    return true;
-                }
-            };
-            let budget_ms = match kv.get("budget_ms").map(|v| v.parse::<u64>()) {
-                None => None,
-                Some(Ok(ms)) => Some(ms),
-                Some(Err(_)) => {
-                    emit(&server.inner, &format!("err id={id} reason=bad-budget_ms"));
-                    return true;
-                }
-            };
-            let event = match kv.get("event").map(String::as_str).ok_or("missing event") {
-                Ok(e) => match parse_event(e) {
-                    Ok(event) => event,
-                    Err(reason) => {
-                        emit(
-                            &server.inner,
-                            &format!("err id={id} reason={}", reason.replace([' ', '\n'], "_")),
-                        );
-                        return true;
-                    }
-                },
-                Err(reason) => {
-                    emit(&server.inner, &format!("err id={id} reason={reason}"));
-                    return true;
-                }
-            };
-            match server.submit_delta_with_id(id, session, event, budget_ms) {
-                Ok(()) => emit(&server.inner, &format!("ack id={id}")),
-                Err(e) => emit(
-                    &server.inner,
-                    &format!("err id={id} reason={}", e.replace([' ', '\n'], "_")),
-                ),
-            }
+            let Some(id) = job_id(server, &kv) else { return true };
+            let submitted = parse_delta(&kv).and_then(|(session, event, budget_ms)| {
+                server.submit_delta_with_id(id, session, event, budget_ms)
+            });
+            acknowledge(server, id, submitted);
         }
         "cancel" => {
-            let id = match kv.get("id").map(|v| v.parse::<u64>()) {
-                Some(Ok(id)) => id,
-                _ => {
-                    emit(&server.inner, "err reason=missing-or-bad-id");
-                    return true;
-                }
-            };
+            let Some(id) = job_id(server, &kv) else { return true };
             let known = server.cancel(id);
             emit(&server.inner, &format!("ack cancel id={id} known={known}"));
         }
@@ -1274,5 +1149,35 @@ mod tests {
             "missing done: {lines:?}"
         );
         assert!(lines.iter().any(|l| l == "bye"), "missing bye: {lines:?}");
+    }
+
+    /// A deadline that expires mid-search ends `deadline`, or `feasible`
+    /// once a deployment exists, never `failed`: the solver's time limit
+    /// is the only clock. The heuristic is infeasible on each instance, so
+    /// no warm start hands the search a deployment.
+    #[test]
+    fn deadline_stops_never_report_failed() {
+        let server = SolveServer::start(ServerConfig { runners: 1, queue_capacity: 8 }, None);
+        let cases = [(8, 0.5, 2, 100), (9, 0.6, 5, 150), (10, 0.6, 6, 200), (6, 0.45, 7, 50)];
+        for (tasks, alpha, seed, deadline_ms) in cases {
+            let spec = RequestSpec {
+                tasks,
+                alpha,
+                seed,
+                threads: 1,
+                deadline_ms: Some(deadline_ms),
+                ..RequestSpec::default()
+            };
+            let session = DeploymentSession::new(spec.build_problem().unwrap());
+            assert!(session.heuristic().is_err(), "M={tasks} seed {seed}: heuristic deploys");
+            let out = server.wait(server.submit(spec).unwrap()).expect("outcome");
+            assert!(
+                matches!(out.status, JobStatus::Deadline | JobStatus::Feasible),
+                "M={tasks} alpha={alpha} seed {seed} at {deadline_ms} ms: {:?} {:?}",
+                out.status,
+                out.error
+            );
+        }
+        server.shutdown();
     }
 }

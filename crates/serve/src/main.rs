@@ -15,11 +15,14 @@
 //! ```
 //!
 //! `--smoke` runs the self-contained CI exercise instead: two identical
-//! requests (the second must be a cache hit with zero solver nodes) plus
-//! one cancelled request, then a clean shutdown; exits non-zero on any
-//! violated expectation.
+//! requests (the second must be a cache hit with zero solver nodes), one
+//! cancelled request, and one request whose deadline expires mid-search
+//! (it must end `deadline` or `feasible`, never `failed`), then a clean
+//! shutdown; exits non-zero on any violated expectation.
 
-use ndp_serve::{handle_line, JobStatus, OutputSink, RequestSpec, ServerConfig, SolveServer};
+use ndp_serve::{
+    handle_line, JobStatus, OutputSink, RequestSpec, ServerConfig, SolveServer, PROTOCOL,
+};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -65,6 +68,19 @@ fn smoke() -> ExitCode {
     let first = server.wait(first).expect("first outcome");
     let second = server.wait(second).expect("second outcome");
     let third = server.wait(third).expect("third outcome");
+    // Submitted to the idle runner, so the deadline expires mid-search,
+    // not in the queue. The heuristic finds no deployment at this horizon,
+    // so the search has none when the deadline stops it.
+    let tight = RequestSpec {
+        tasks: 8,
+        alpha: 0.5,
+        seed: 2,
+        threads: 1,
+        deadline_ms: Some(100),
+        ..RequestSpec::default()
+    };
+    let fourth = server.submit(tight).expect("submit fourth");
+    let fourth = server.wait(fourth).expect("fourth outcome");
     let stats = server.stats();
     server.shutdown();
 
@@ -97,19 +113,28 @@ fn smoke() -> ExitCode {
     if stats.cache_hits < 1 {
         failures.push(format!("expected ≥1 cache hit, saw {}", stats.cache_hits));
     }
-    if stats.completed != 3 {
-        failures.push(format!("expected 3 completed jobs, saw {}", stats.completed));
+    if !matches!(fourth.status, JobStatus::Deadline | JobStatus::Feasible) {
+        failures.push(format!(
+            "deadline-stopped job reported {:?} ({:?})",
+            fourth.status, fourth.error
+        ));
+    }
+    if stats.completed != 4 {
+        failures.push(format!("expected 4 completed jobs, saw {}", stats.completed));
     }
 
     if failures.is_empty() {
         println!(
-            "smoke ok: miss->hit nodes {}->{} wall_ms {:.1}->{:.1} third={} \
-             cache_hits={} pool_workers={}",
+            "smoke ok: miss->hit nodes {}->{} wall_ms {:.1}->{:.1} third={} fourth={} \
+             ({} nodes, {:.1} ms) cache_hits={} pool_workers={}",
             first.nodes,
             second.nodes,
             first.wall_ms,
             second.wall_ms,
             third.status.name(),
+            fourth.status.name(),
+            fourth.nodes,
+            fourth.wall_ms,
             stats.cache_hits,
             stats.pool_workers
         );
@@ -130,10 +155,8 @@ fn main() -> ExitCode {
             println!(
                 "ndp-serve — multi-tenant deployment-solve server\n\n\
                  USAGE:\n  ndp-serve            read protocol lines from stdin\n  \
-                 ndp-serve --smoke    run the self-test (2 identical jobs + 1 cancel)\n\n\
-                 PROTOCOL:\n  solve id=<n> [tasks=<m> mesh=<s> levels=<l> alpha=<a> seed=<s>\n               \
-                 threads=<t> gap=<g> deadline_ms=<ms> events=on objective=be|me]\n  \
-                 cancel id=<n>\n  stats\n  shutdown"
+                 ndp-serve --smoke    run the self-test (2 identical jobs, 1 cancel, \
+                 1 deadline stop)\n\nPROTOCOL:\n{PROTOCOL}"
             );
             ExitCode::SUCCESS
         }
